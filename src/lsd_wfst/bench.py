@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .decoder import DecodeConfig, DecodeResult, decode_fsd, decode_lsd
 from .parallel import parallel_decode
@@ -55,15 +55,11 @@ def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     if mode == "lsd-serial":
         return decode_lsd(wfst, posts, cfg)
     if mode == "lsd-parallel":
-        lsd_cfg = DecodeConfig(beam=cfg.beam, max_active=cfg.max_active,
-                               blank_threshold=cfg.blank_threshold,
-                               acoustic_scale=cfg.acoustic_scale, mode="lsd")
-        return parallel_decode(wfst, posts, lsd_cfg, workers=workers, group_size=group_size)
+        return parallel_decode(wfst, posts, replace(cfg, mode="lsd"),
+                               workers=workers, group_size=group_size)
     if mode == "fsd-parallel":
-        fsd_cfg = DecodeConfig(beam=cfg.beam, max_active=cfg.max_active,
-                               blank_threshold=cfg.blank_threshold,
-                               acoustic_scale=cfg.acoustic_scale, mode="fsd")
-        return parallel_decode(wfst, posts, fsd_cfg, workers=workers, group_size=group_size)
+        return parallel_decode(wfst, posts, replace(cfg, mode="fsd"),
+                               workers=workers, group_size=group_size)
     raise ValueError(f"unknown bench mode {mode!r}")
 
 

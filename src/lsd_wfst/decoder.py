@@ -9,7 +9,8 @@ and is therefore exactly FSD on the non-blank frame subsequence.
 
 Recombination ties resolve by the total order (cost, predecessor state id,
 arc index), which makes results reproducible and lets the parallel engine
-match this module bit for bit.
+match this module bit for bit.  A step recombines (cost, src, arc, prev)
+entries and writes trace records only for the tokens that survive pruning.
 """
 
 from __future__ import annotations
@@ -17,14 +18,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import itemgetter
 
-from .posteriors import PosteriorMatrix, classify_blank_frames, frame_costs
+from .posteriors import PosteriorMatrix, classify_blank_frames, frame_cost_table
 from .wfst import Wfst, WfstError
 
 INF = math.inf
 
 ROOT_TRACE = -1
+
+# Sort keys over (state, cost, payload) pruning candidates.
+_STATE = itemgetter(0)
+_COST = itemgetter(1)
+_COST_STATE = itemgetter(1, 0)
 
 
 @dataclass(frozen=True)
@@ -34,15 +40,6 @@ class Token:
     state: int
     cost: float
     trace: int
-
-
-class TraceRecord(NamedTuple):
-    prev: int
-    olabel: int
-    ilabel: int
-    step: int
-    arc_weight: float
-    acoustic: float
 
 
 class TraceArena:
@@ -67,10 +64,6 @@ class TraceArena:
         self.acoustic.append(acoustic)
         return idx
 
-    def record(self, idx: int) -> TraceRecord:
-        return TraceRecord(self.prev[idx], self.olabel[idx], self.ilabel[idx],
-                           self.step[idx], self.arc_weight[idx], self.acoustic[idx])
-
     def __len__(self) -> int:
         return len(self.prev)
 
@@ -84,12 +77,16 @@ class DecodeConfig:
     mode: str = "lsd"
 
     def __post_init__(self):
-        if self.beam < 0:
+        # Negated comparisons so that NaN, which compares false, is rejected.
+        if not self.beam >= 0:
             raise ValueError(f"beam must be >= 0, got {self.beam}")
         if self.max_active is not None and self.max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {self.max_active}")
-        if self.acoustic_scale <= 0:
-            raise ValueError(f"acoustic_scale must be positive, got {self.acoustic_scale}")
+        if not 0 < self.acoustic_scale < INF:
+            raise ValueError(
+                f"acoustic_scale must be positive and finite, got {self.acoustic_scale}")
+        if math.isnan(self.blank_threshold):
+            raise ValueError("blank_threshold must be a number, got nan")
         if self.mode not in ("fsd", "lsd"):
             raise ValueError(f"mode must be 'fsd' or 'lsd', got {self.mode!r}")
 
@@ -105,11 +102,6 @@ class DecodeResult:
     died_at_step: int | None = None
 
 
-class SearchDied(RuntimeError):
-    """Raised by callers that treat an emptied beam as fatal; decoding itself
-    reports death through DecodeResult.died_at_step."""
-
-
 def select_frames(posts: PosteriorMatrix, cfg: DecodeConfig) -> tuple[list[int], int]:
     """Frame indices the search will consume, plus the blank count skipped."""
     if cfg.mode == "fsd":
@@ -118,80 +110,121 @@ def select_frames(posts: PosteriorMatrix, cfg: DecodeConfig) -> tuple[list[int],
     return mask.nonblank_frames(), mask.count
 
 
-def _relax(cand: dict, arena: TraceArena, dst: int, cost: float,
-           src_state: int, arc_idx: int, prev_trace: int,
-           olabel: int, ilabel: int, step: int, arc_weight: float,
-           acoustic: float) -> bool:
-    """Min-recombination under the (cost, src state, arc index) total order."""
-    entry = cand.get(dst)
-    if entry is not None:
-        ecost = entry[0]
-        if cost > ecost:
-            return False
-        if cost == ecost and (src_state, arc_idx) >= (entry[1], entry[2]):
-            return False
-    trace = arena.add(prev_trace, olabel, ilabel, step, arc_weight, acoustic)
-    cand[dst] = [cost, src_state, arc_idx, trace]
-    return True
-
-
-def _epsilon_fixpoint(wfst: Wfst, cand: dict, arena: TraceArena, step: int,
-                      recorder=None, node_step: int = 0) -> None:
+def _epsilon_fixpoint(wfst: Wfst, cand: dict, recorder=None, node_step: int = 0) -> None:
     """Propagate epsilon arcs until no state improves.
 
     Positive-weight epsilon cycles converge because a candidate must beat
     the stored entry under the total order to be accepted; zero- and
-    negative-weight cycles are rejected before decoding starts.
+    negative-weight cycles are rejected before decoding starts.  An epsilon
+    candidate links to its predecessor's entry as it stood when relaxed,
+    even if that state is later replaced by an equal-cost entry.
     """
-    if not wfst.has_epsilon_arcs:
-        return
-    arcs = wfst.arcs
-    offsets = wfst.arc_offsets
-    split = wfst.eps_split
-    work = deque(sorted(cand))
+    cache = wfst.epsilon_cache
+    get = cand.get
+    # States without epsilon arcs are never queued: popping one is a no-op.
+    work = deque()
+    for u in sorted(cand):
+        arcs = cache[u]
+        if arcs is None:
+            arcs = wfst.epsilon_arcs(u)
+        if arcs:
+            work.append(u)
     queued = set(work)
     while work:
         u = work.popleft()
         queued.discard(u)
         entry = cand[u]
         ucost = entry[0]
-        utrace = entry[3]
-        for ai in range(offsets[u], split[u]):
-            arc = arcs[ai]
-            dst = arc.dst
-            if dst == u:
-                continue  # a positive self-loop can never improve its own state
+        for ai, dst, weight in cache[u]:
             if recorder is not None:
                 recorder.epsilon(node_step, u, ai)
-            c = ucost + arc.weight
-            if _relax(cand, arena, dst, c, u, ai, utrace,
-                      arc.olabel, arc.ilabel, step, arc.weight, 0.0):
-                if dst not in queued:
+            c = ucost + weight
+            e = get(dst)
+            if e is not None:
+                ecost = e[0]
+                if c > ecost or (c == ecost and (u, ai) >= (e[1], e[2])):
+                    continue
+            cand[dst] = (c, u, ai, entry)
+            if dst not in queued:
+                arcs = cache[dst]
+                if arcs is None:
+                    arcs = wfst.epsilon_arcs(dst)
+                if arcs:
                     work.append(dst)
                     queued.add(dst)
 
 
-def _prune_candidates(items, beam: float, max_active: int | None) -> list[Token]:
-    """Beam and max-active pruning; returns survivors ordered by state id.
+def _prune_candidates(items: list[tuple], beam: float, max_active: int | None) -> list[tuple]:
+    """Beam and max-active pruning of (state, cost, payload) triples.
 
+    `items` must be ordered by state id, and the survivors keep that order.
     A candidate survives iff cost <= best + beam; max-active then keeps the
     cheapest entries under the (cost, state id) tie-break.  The parallel
     engine funnels its aggregated slots through this same function so both
     engines prune identically.
     """
-    items = list(items)
     if not items:
         return []
-    best = min(c for _, c, _ in items)
-    cutoff = best + beam
-    kept = [(s, c, t) for s, c, t in items if c <= cutoff]
+    cutoff = min(items, key=_COST)[1] + beam
+    kept = [e for e in items if e[1] <= cutoff]
     if max_active is not None and len(kept) > max_active:
-        kept.sort(key=lambda e: (e[1], e[0]))
-        kept = kept[:max_active]
-        kept.sort(key=lambda e: e[0])
-    else:
-        kept.sort(key=lambda e: e[0])
-    return [Token(s, c, t) for s, c, t in kept]
+        kept = sorted(sorted(kept, key=_COST_STATE)[:max_active], key=_STATE)
+    return kept
+
+
+def _trace(entry: tuple, arena: TraceArena, arcs, costs, step: int, memo: dict) -> int:
+    """Trace index of a recombination entry, adding its record to the arena.
+
+    `entry` is (cost, src state, arc index, prev).  prev is a trace index
+    for an emitting arc, the predecessor's entry for an epsilon arc, and
+    None for the start state's root entry, which has no record.  Epsilon
+    predecessors are recorded on the way; `memo` maps the id of each entry
+    recorded this step to its index, so none is recorded twice.
+    """
+    pending = []
+    while True:
+        idx = memo.get(id(entry))
+        if idx is not None:
+            break
+        prev = entry[3]
+        if prev is None:
+            idx = ROOT_TRACE
+            break
+        pending.append(entry)
+        if prev.__class__ is int:
+            idx = prev
+            break
+        entry = prev
+    for e in reversed(pending):
+        arc = arcs[e[2]]
+        il = arc.ilabel
+        idx = arena.add(idx, arc.olabel, il, step, arc.weight, costs[il] if il else 0.0)
+        memo[id(e)] = idx
+    return idx
+
+
+def _survivors(wfst: Wfst, cand: dict, costs, cfg: DecodeConfig, arena: TraceArena,
+               step: int) -> list[Token]:
+    """Prune the step's candidates and write trace records for the survivors only."""
+    kept = _prune_candidates([(s, cand[s][0], cand[s]) for s in sorted(cand)],
+                             cfg.beam, cfg.max_active)
+    arcs = wfst.arcs
+    add = arena.add
+    memo: dict[int, int] = {}
+    survivors = []
+    for s, c, entry in kept:
+        prev = entry[3]
+        if prev.__class__ is int:  # emitting arc: inline the common case of _trace
+            key = id(entry)
+            idx = memo.get(key)
+            if idx is None:
+                arc = arcs[entry[2]]
+                il = arc.ilabel
+                idx = memo[key] = add(prev, arc.olabel, il, step, arc.weight, costs[il])
+        else:
+            idx = _trace(entry, arena, arcs, costs, step, memo)
+        survivors.append(Token(s, c, idx))
+    return survivors
 
 
 def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
@@ -205,29 +238,34 @@ def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
     node_step = step + 1
     if recorder is not None:
         recorder.begin_step(node_step)
-    cand: dict[int, list] = {}
-    arcs = wfst.arcs
-    offsets = wfst.arc_offsets
-    split = wfst.eps_split
+    cand: dict[int, tuple] = {}
+    get = cand.get
+    cache = wfst.emitting_cache
     for tok in live:
         s = tok.state
         tcost = tok.cost
         ttrace = tok.trace
-        for ai in range(split[s], offsets[s + 1]):
-            arc = arcs[ai]
-            ac = costs[arc.ilabel]
+        arcs = cache[s]
+        if arcs is None:
+            arcs = wfst.emitting_arcs(s)
+        for ai, dst, il, weight in arcs:
+            ac = costs[il]
             if ac == INF:
                 continue
-            c = tcost + arc.weight + ac
+            c = tcost + weight + ac
             if recorder is not None:
                 recorder.emitting(node_step, s, ai, ac)
-            _relax(cand, arena, arc.dst, c, s, ai, ttrace,
-                   arc.olabel, arc.ilabel, step, arc.weight, ac)
+            e = get(dst)
+            if e is not None:
+                ecost = e[0]
+                if c > ecost or (c == ecost and (s, ai) >= (e[1], e[2])):
+                    continue
+            cand[dst] = (c, s, ai, ttrace)
 
-    _epsilon_fixpoint(wfst, cand, arena, step, recorder, node_step)
+    if wfst.has_epsilon_arcs:
+        _epsilon_fixpoint(wfst, cand, recorder, node_step)
 
-    survivors = _prune_candidates(
-        ((s, e[0], e[3]) for s, e in cand.items()), cfg.beam, cfg.max_active)
+    survivors = _survivors(wfst, cand, costs, cfg, arena, step)
     if recorder is not None:
         recorder.survivors(node_step, tuple(t.state for t in survivors))
     return survivors
@@ -238,10 +276,10 @@ def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, arena: TraceArena,
     """Start token plus its epsilon closure, pruned like any other step."""
     if recorder is not None:
         recorder.begin_step(0)
-    cand: dict[int, list] = {wfst.start: [0.0, -1, -1, ROOT_TRACE]}
-    _epsilon_fixpoint(wfst, cand, arena, 0, recorder, 0)
-    survivors = _prune_candidates(
-        ((s, e[0], e[3]) for s, e in cand.items()), cfg.beam, cfg.max_active)
+    cand: dict[int, tuple] = {wfst.start: (0.0, -1, -1, None)}
+    if wfst.has_epsilon_arcs:
+        _epsilon_fixpoint(wfst, cand, recorder, 0)
+    survivors = _survivors(wfst, cand, (), cfg, arena, 0)  # no acoustic costs: epsilon only
     if recorder is not None:
         states = {t.state for t in survivors}
         states.add(wfst.start)  # keep the lattice rooted even under brutal pruning
@@ -292,10 +330,9 @@ def backtrace(token: Token, arena: TraceArena) -> tuple[tuple[int, ...], tuple[i
 
 
 def _check_compatible(wfst: Wfst, posts: PosteriorMatrix) -> None:
-    max_ilabel = max((a.ilabel for a in wfst.arcs), default=0)
-    if max_ilabel > posts.num_nonblank_labels:
+    if wfst.max_ilabel > posts.num_nonblank_labels:
         raise ValueError(
-            f"graph uses input label {max_ilabel} but the posterior matrix "
+            f"graph uses input label {wfst.max_ilabel} but the posterior matrix "
             f"only covers labels 1..{posts.num_nonblank_labels}")
 
 
@@ -308,14 +345,14 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
             f"states {list(cycle.states)}; non-emitting propagation would not terminate")
     _check_compatible(wfst, posts)
 
+    table = frame_cost_table(posts, frames, cfg.acoustic_scale)
     arena = TraceArena()
     live = _initial_tokens(wfst, cfg, arena, recorder)
     expanded = 0
     steps_run = 0
     died_at: int | None = None
 
-    for s, f in enumerate(frames):
-        costs = frame_costs(posts, f, cfg.acoustic_scale)
+    for s, costs in enumerate(table):
         expanded += len(live)
         nxt = viterbi_step(wfst, live, costs, cfg, arena, step=s, recorder=recorder)
         steps_run += 1

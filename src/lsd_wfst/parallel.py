@@ -144,7 +144,8 @@ def aggregate_survivors(slots: StateSlots, beam: float,
     The queue is ordered by state id; beam and max-active semantics are the
     serial decoder's own pruning function, so both engines cut identically.
     """
-    return _prune_candidates(slots.finite_items(), beam, max_active)
+    kept = _prune_candidates(slots.finite_items(), beam, max_active)
+    return [Token(s, c, t) for s, c, t in kept]
 
 
 class WorkerPool:

@@ -138,10 +138,16 @@ def frame_costs(p: PosteriorMatrix, frame: int, scale: float = 1.0) -> list[floa
 
     Index 0 (epsilon) is +inf; epsilon arcs are never acoustically scored.
     """
-    row = p.rows[frame, p._label_cols]
+    return frame_cost_table(p, [frame], scale)[0]
+
+
+def frame_cost_table(p: PosteriorMatrix, frames: list[int],
+                     scale: float = 1.0) -> list[list[float]]:
+    """`frame_costs` of every frame in `frames`, from one vectorized log."""
+    table = np.full((len(frames), p.num_labels), math.inf)
     with np.errstate(divide="ignore"):
-        costs = -scale * np.log(row)
-    return [math.inf] + costs.tolist()
+        table[:, 1:] = -scale * np.log(p.rows[frames][:, p._label_cols])
+    return table.tolist()
 
 
 def load_posteriors(source, strict: bool = False) -> PosteriorMatrix:

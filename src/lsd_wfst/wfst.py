@@ -154,7 +154,8 @@ class SymbolTable:
 class Wfst:
     """Immutable weighted transducer with offset-indexed arc storage.
 
-    Safe for unlimited concurrent readers once constructed.  `arcs` holds all
+    Safe for unlimited concurrent readers once constructed (the arc-tuple
+    caches are filled idempotently on first use).  `arcs` holds all
     arcs grouped by source state; `arc_offsets[s] : arc_offsets[s+1]` is state
     s's range and `eps_split[s]` is the boundary between its epsilon prefix
     and emitting suffix.
@@ -191,11 +192,23 @@ class Wfst:
 
         # Boundary between the epsilon prefix and emitting suffix per state.
         split = list(offsets[:num_states])
+        has_eps = False
+        max_ilabel = 0
         for i, a in enumerate(self.arcs):
-            if a.ilabel == EPSILON:
+            il = a.ilabel
+            if il == EPSILON:
                 split[a.src] = i + 1
+                has_eps = True
+            elif il > max_ilabel:
+                max_ilabel = il
         self.eps_split = split
-        self.has_epsilon_arcs = any(a.ilabel == EPSILON for a in self.arcs)
+        self.has_epsilon_arcs = has_eps
+        self.max_ilabel = max_ilabel
+
+        # Per-state arc tuples for the search loop, filled on a state's first
+        # visit: a decode touches a small share of a large graph's states.
+        self.emitting_cache: list[tuple | None] = [None] * num_states
+        self.epsilon_cache: list[tuple | None] = [None] * num_states
 
         self._in_arcs: dict[int, tuple[Arc, ...]] | None = None
         self._eps_cycle: EpsilonCycle | None = None
@@ -217,6 +230,30 @@ class Wfst:
     def out_degree(self, state: int) -> int:
         self._check_state(state)
         return self.arc_offsets[state + 1] - self.arc_offsets[state]
+
+    def emitting_arcs(self, state: int) -> tuple[tuple[int, int, int, float], ...]:
+        """`(arc index, dst, ilabel, weight)` for each emitting arc of `state`.
+
+        Built on first use and kept in `emitting_cache[state]`.
+        """
+        arcs = self.arcs
+        out = tuple((i, arcs[i].dst, arcs[i].ilabel, arcs[i].weight)
+                    for i in range(self.eps_split[state], self.arc_offsets[state + 1]))
+        self.emitting_cache[state] = out
+        return out
+
+    def epsilon_arcs(self, state: int) -> tuple[tuple[int, int, float], ...]:
+        """`(arc index, dst, weight)` for each epsilon arc of `state` that is
+        not a self-loop; a positive self-loop can never improve its own state.
+
+        Built on first use and kept in `epsilon_cache[state]`.
+        """
+        arcs = self.arcs
+        out = tuple((i, arcs[i].dst, arcs[i].weight)
+                    for i in range(self.arc_offsets[state], self.eps_split[state])
+                    if arcs[i].dst != state)
+        self.epsilon_cache[state] = out
+        return out
 
     def in_arcs(self, state: int) -> tuple[Arc, ...]:
         """All arcs entering `state` (reverse index built lazily)."""

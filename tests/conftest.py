@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -21,6 +22,24 @@ DIAMOND_TEXT = """\
 2 3 4 4 0.9
 3 0.0
 """
+
+
+# Emitting into 1 and 3 costs 1.25 and 0.75; epsilon 3->1 then ties state 1
+# at 1.25 with the lower (src, arc) key after 1 has already relaxed into 2.
+STALE_LINK_TEXT = """\
+9 1 1 11 1.0
+9 3 1 13 0.5
+3 1 0 31 0.5
+1 2 0 12 0.0
+2
+"""
+
+
+@pytest.fixture
+def stale_link_case():
+    """The tie graph above and one frame with P(label 1) = exp(-0.25)."""
+    p1 = math.exp(-0.25)
+    return parse_wfst_text(STALE_LINK_TEXT), posteriors_from_rows([[1.0 - p1, p1]])
 
 
 @pytest.fixture

@@ -52,6 +52,12 @@ class TestDecodeCommand:
                         "--posts", one_arc_files["posts"]])
         assert code == 2
 
+    def test_nan_beam_exits_2(self, one_arc_files, capsys):
+        code = run_cli(["decode", "--graph", one_arc_files["graph"],
+                        "--posts", one_arc_files["posts"], "--beam", "nan"])
+        assert code == 2
+        assert "beam" in capsys.readouterr().err
+
     def test_lsd_fsd_identical_with_degenerate_threshold(self, one_arc_files, capsys):
         run_cli(["decode", "--graph", one_arc_files["graph"],
                  "--posts", one_arc_files["posts"], "--mode", "fsd"])

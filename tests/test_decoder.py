@@ -190,6 +190,18 @@ class TestDecodeFsd:
         r_loop = decode_fsd(parse_wfst_text(looped), p, DecodeConfig(mode="fsd"))
         assert r_loop == r_base
 
+    def test_epsilon_tie_keeps_link_made_at_relaxation(self, stale_link_case):
+        """State 2 is relaxed from state 1's emitting entry (olabel 11).  The
+        closure then replaces state 1 by the equal-cost 9->3->1 entry, whose
+        (src, arc) key is lower, and that entry's relaxation into 2 loses the
+        tie.  State 2 keeps the link it was relaxed with; following state 1's
+        final entry instead would give (13, 31, 12)."""
+        w, p = stale_link_case
+        r = decode_fsd(w, p, DecodeConfig(mode="fsd"))
+        assert r.total_cost == 1.25
+        assert r.olabels == (11, 12)
+        assert r.reached_final
+
     def test_incompatible_alphabet_rejected(self):
         w = parse_wfst_text("0 1 7 7 0.5\n1 0.0")
         p = uniform_posteriors(1, 2)
@@ -370,3 +382,11 @@ class TestPruningAndDeterminism:
             DecodeConfig(acoustic_scale=0.0)
         with pytest.raises(ValueError):
             DecodeConfig(mode="nonsense")
+        for field, value in (("beam", math.nan), ("acoustic_scale", math.nan),
+                             ("acoustic_scale", INF), ("acoustic_scale", -1.0),
+                             ("blank_threshold", math.nan)):
+            with pytest.raises(ValueError, match=field):
+                DecodeConfig(**{field: value})
+        # Open ranges stay legal: an infinite beam and thresholds above 1.
+        DecodeConfig(beam=INF, blank_threshold=1.5)
+        DecodeConfig(blank_threshold=INF)

@@ -1,5 +1,6 @@
 """Dispatcher, atomic recombination slots, and parallel/serial equivalence."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -7,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsd_wfst.decoder import DecodeConfig, decode, decode_fsd, decode_lsd
 from lsd_wfst.fixtures import make_random_posteriors, make_random_wfst
@@ -21,6 +24,7 @@ from lsd_wfst.parallel import (
     relax_atomic,
 )
 from lsd_wfst.posteriors import PosteriorMatrix
+from lsd_wfst.wfst import Arc, Wfst
 
 from conftest import random_instance, uniform_posteriors
 
@@ -157,7 +161,7 @@ class TestAggregateSurvivors:
             relax_atomic(slots, state, cost, 0, 0)
         got = aggregate_survivors(slots, beam=3.0, max_active=3)
         want = _prune_candidates([(s, c, -1) for s, c in items], 3.0, 3)
-        assert [(t.state, t.cost) for t in got] == [(t.state, t.cost) for t in want]
+        assert [(t.state, t.cost) for t in got] == [(s, c) for s, c, _ in want]
         # Equal costs 2.0 at states 1,2,3: the cut keeps the lower state ids.
         assert [t.state for t in got] == [0, 1, 2]
 
@@ -267,6 +271,15 @@ class TestParallelDecode:
             par_lat = builder.result_from(par_rec)
             assert par_lat == serial_lat
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("group", [1, 32])
+    def test_epsilon_tie_link_equals_serial(self, stale_link_case, workers, group):
+        w, p = stale_link_case
+        cfg = DecodeConfig(mode="fsd")
+        par = parallel_decode(w, p, cfg, workers=workers, group_size=group)
+        assert par == decode(w, p, cfg)
+        assert (par.total_cost, par.olabels) == (1.25, (11, 12))
+
     def test_invalid_parameters(self):
         w, p = random_instance(0)
         cfg = DecodeConfig()
@@ -274,3 +287,50 @@ class TestParallelDecode:
             parallel_decode(w, p, cfg, workers=0)
         with pytest.raises(ValueError):
             parallel_decode(w, p, cfg, workers=1, group_size=0)
+
+
+GRID = [0.0, 0.5, 1.0]
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Small graphs with about half their arcs epsilon and weights from GRID,
+    plus quantized posteriors, so that equal-cost ties are common.
+
+    Epsilon arcs that do not point to a higher state id weigh 0.5 or 1.0, so
+    every epsilon cycle is positive and decoding accepts the graph."""
+    n = draw(st.integers(2, 6))
+    labels = draw(st.integers(1, 3))
+    arcs = []
+    for _ in range(draw(st.integers(1, 14))):
+        src = draw(st.integers(0, n - 1))
+        dst = draw(st.integers(0, n - 1))
+        ilabel = 0 if draw(st.booleans()) else draw(st.integers(1, labels))
+        grid = GRID if ilabel or src < dst else GRID[1:]
+        arcs.append(Arc(src, dst, ilabel, draw(st.integers(0, 3)), draw(st.sampled_from(grid))))
+    finals = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(GRID), max_size=n))
+    wfst = Wfst(n, draw(st.integers(0, n - 1)), arcs, finals)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        counts = draw(st.lists(st.integers(0, 2), min_size=labels + 1, max_size=labels + 1)
+                      .filter(any))
+        rows.append([c / sum(counts) for c in counts])
+    posts = PosteriorMatrix(np.array(rows).reshape(len(rows), labels + 1), blank_col=0)
+    return wfst, posts
+
+
+def _fields(result):
+    """Every DecodeResult field, the cost compared bit for bit."""
+    return {**dataclasses.asdict(result), "total_cost": result.total_cost.hex()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances(), st.sampled_from(["fsd", "lsd"]),
+       st.sampled_from([INF, 0.5, 1.0]), st.sampled_from([None, 1, 2, 3]),
+       st.integers(1, 3), st.sampled_from([1, 2, 32]))
+def test_serial_parallel_and_recorder_agree(instance, mode, beam, max_active, workers, group):
+    wfst, posts = instance
+    cfg = DecodeConfig(mode=mode, beam=beam, max_active=max_active)
+    serial = _fields(decode(wfst, posts, cfg))
+    assert _fields(parallel_decode(wfst, posts, cfg, workers=workers, group_size=group)) == serial
+    assert _fields(decode(wfst, posts, cfg, recorder=LatticeRecorder())) == serial

@@ -14,6 +14,7 @@ from lsd_wfst.posteriors import (
     classify_blank_frames,
     format_posteriors_binary,
     format_posteriors_text,
+    frame_cost_table,
     frame_costs,
     load_posteriors,
 )
@@ -192,6 +193,21 @@ class TestAcousticCost:
         assert costs[0] == math.inf
         assert costs[1] == pytest.approx(-math.log(0.4))
         assert costs[2] == pytest.approx(-math.log(0.5))
+
+    @pytest.mark.parametrize("blank_col", [0, 2, 4])
+    def test_frame_cost_table_equals_row_by_row_log(self, blank_col):
+        """Bit-equal to scoring each frame's row on its own, zeros included."""
+        rng = np.random.default_rng(7)
+        rows = rng.dirichlet(np.ones(5), size=40)
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        p = PosteriorMatrix(rows, blank_col=blank_col)
+        cols = [c for c in range(5) if c != blank_col]
+        frames = [3, 0, 17, 17, 39]
+        with np.errstate(divide="ignore"):
+            want = [[math.inf] + (-0.7 * np.log(rows[f, cols])).tolist() for f in frames]
+        assert frame_cost_table(p, frames, 0.7) == want
+        assert frame_cost_table(p, [], 0.7) == []
 
 
 class TestSelectFrames:
