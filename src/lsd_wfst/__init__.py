@@ -4,18 +4,7 @@ with a deterministic parallel token-passing engine and raw-lattice output."""
 __version__ = "0.1.0"
 
 from .bench import BenchReport, StepCountViolation, run_bench
-from .decoder import (
-    DecodeConfig,
-    DecodeResult,
-    Token,
-    TraceArena,
-    backtrace,
-    decode,
-    decode_fsd,
-    decode_lsd,
-    final_transition,
-    viterbi_step,
-)
+from .decoder import DecodeConfig, DecodeResult, decode, decode_fsd, decode_lsd
 from .lattice import (
     Lattice,
     LatticeArc,
@@ -27,22 +16,12 @@ from .lattice import (
     parse_lattice_text,
     prune_lattice,
 )
-from .parallel import (
-    ClaimLedger,
-    Dispatcher,
-    StateSlots,
-    WorkerPool,
-    aggregate_survivors,
-    parallel_decode,
-    relax_atomic,
-)
+from .parallel import parallel_decode
 from .posteriors import (
     BlankMask,
     PosteriorFormatError,
     PosteriorMatrix,
-    acoustic_cost,
     classify_blank_frames,
-    frame_costs,
     load_posteriors,
 )
 from .wfst import (
@@ -53,7 +32,6 @@ from .wfst import (
     SymbolTable,
     Wfst,
     WfstError,
-    out_arcs,
     parse_wfst_text,
     validate_epsilon_acyclic,
 )
@@ -62,10 +40,8 @@ __all__ = [
     "Arc",
     "BenchReport",
     "BlankMask",
-    "ClaimLedger",
     "DecodeConfig",
     "DecodeResult",
-    "Dispatcher",
     "EpsilonCycle",
     "Lattice",
     "LatticeArc",
@@ -75,34 +51,22 @@ __all__ = [
     "ParseError",
     "PosteriorFormatError",
     "PosteriorMatrix",
-    "StateSlots",
     "StepCountViolation",
     "SymbolError",
     "SymbolTable",
-    "Token",
-    "TraceArena",
     "Wfst",
     "WfstError",
-    "WorkerPool",
-    "acoustic_cost",
-    "aggregate_survivors",
-    "backtrace",
     "build_lattice",
     "classify_blank_frames",
     "decode",
     "decode_fsd",
     "decode_lsd",
-    "final_transition",
-    "frame_costs",
     "lattice_best_path",
     "load_posteriors",
-    "out_arcs",
     "parallel_decode",
     "parse_lattice_text",
     "parse_wfst_text",
     "prune_lattice",
-    "relax_atomic",
     "run_bench",
     "validate_epsilon_acyclic",
-    "viterbi_step",
 ]

@@ -48,6 +48,16 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="WFST text file")
     p.add_argument("--posts", required=True, help="posterior matrix file (text or POST1 binary)")
@@ -58,8 +68,8 @@ def _add_decode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-active", type=int, default=None)
     p.add_argument("--blank-threshold", type=float, default=0.98)
     p.add_argument("--acoustic-scale", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--group-size", type=int, default=32)
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--group-size", type=_positive_int, default=32)
     p.add_argument("--strict-posteriors", action="store_true",
                    help="reject rows whose probabilities do not sum to 1")
 

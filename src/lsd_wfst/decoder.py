@@ -11,13 +11,19 @@ Recombination ties resolve by the total order (cost, predecessor state id,
 arc index), which makes results reproducible and lets the parallel engine
 match this module bit for bit.  A step recombines (cost, src, arc, prev)
 entries and writes trace records only for the tokens that survive pruning.
+
+`_search` is the one search driver.  It owns everything around the steps:
+the graph checks, frame scoring, the start closure, search death, the
+final transition and the backtrace.  Engines differ only in the step
+function they hand it; `viterbi_step` is the serial one, and the threaded
+engine in `parallel` plugs in its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from .posteriors import PosteriorMatrix, classify_blank_frames, frame_cost_table
@@ -102,12 +108,12 @@ class DecodeResult:
     died_at_step: int | None = None
 
 
-def select_frames(posts: PosteriorMatrix, cfg: DecodeConfig) -> tuple[list[int], int]:
-    """Frame indices the search will consume, plus the blank count skipped."""
+def select_frames(posts: PosteriorMatrix, cfg: DecodeConfig) -> list[int]:
+    """Frame indices the search will consume: all of them for FSD, the
+    non-blank ones for LSD."""
     if cfg.mode == "fsd":
-        return list(range(posts.num_frames)), 0
-    mask = classify_blank_frames(posts, cfg.blank_threshold)
-    return mask.nonblank_frames(), mask.count
+        return list(range(posts.num_frames))
+    return classify_blank_frames(posts, cfg.blank_threshold).nonblank_frames()
 
 
 def _epsilon_fixpoint(wfst: Wfst, cand: dict, recorder=None, node_step: int = 0) -> None:
@@ -203,11 +209,11 @@ def _trace(entry: tuple, arena: TraceArena, arcs, costs, step: int, memo: dict) 
     return idx
 
 
-def _survivors(wfst: Wfst, cand: dict, costs, cfg: DecodeConfig, arena: TraceArena,
-               step: int) -> list[Token]:
-    """Prune the step's candidates and write trace records for the survivors only."""
-    kept = _prune_candidates([(s, cand[s][0], cand[s]) for s in sorted(cand)],
-                             cfg.beam, cfg.max_active)
+def _survivors(wfst: Wfst, items: list[tuple], costs, cfg: DecodeConfig,
+               arena: TraceArena, step: int) -> list[Token]:
+    """Prune the step's (state, cost, entry) candidates, ordered by state id,
+    and write trace records for the survivors only."""
+    kept = _prune_candidates(items, cfg.beam, cfg.max_active)
     arcs = wfst.arcs
     add = arena.add
     memo: dict[int, int] = {}
@@ -265,7 +271,8 @@ def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
 
-    survivors = _survivors(wfst, cand, costs, cfg, arena, step)
+    survivors = _survivors(wfst, [(s, cand[s][0], cand[s]) for s in sorted(cand)],
+                           costs, cfg, arena, step)
     if recorder is not None:
         recorder.survivors(node_step, tuple(t.state for t in survivors))
     return survivors
@@ -279,7 +286,9 @@ def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, arena: TraceArena,
     cand: dict[int, tuple] = {wfst.start: (0.0, -1, -1, None)}
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, 0)
-    survivors = _survivors(wfst, cand, (), cfg, arena, 0)  # no acoustic costs: epsilon only
+    # No acoustic costs: the start closure crosses epsilon arcs only.
+    survivors = _survivors(wfst, [(s, cand[s][0], cand[s]) for s in sorted(cand)],
+                           (), cfg, arena, 0)
     if recorder is not None:
         states = {t.state for t in survivors}
         states.add(wfst.start)  # keep the lattice rooted even under brutal pruning
@@ -337,7 +346,9 @@ def _check_compatible(wfst: Wfst, posts: PosteriorMatrix) -> None:
 
 
 def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
-            frames: list[int], recorder=None) -> DecodeResult:
+            frames: list[int], recorder=None, step=viterbi_step) -> DecodeResult:
+    """Decode `frames` with the step function `step`, which has
+    `viterbi_step`'s signature and results."""
     cycle = wfst.epsilon_cycle()
     if cycle is not None:
         raise WfstError(
@@ -354,7 +365,7 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
 
     for s, costs in enumerate(table):
         expanded += len(live)
-        nxt = viterbi_step(wfst, live, costs, cfg, arena, step=s, recorder=recorder)
+        nxt = step(wfst, live, costs, cfg, arena, s, recorder)
         steps_run += 1
         if not nxt:
             died_at = s
@@ -386,19 +397,16 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
 def decode_fsd(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
                recorder=None) -> DecodeResult:
     """Frame-synchronous decoding: one search step per frame."""
-    return _search(wfst, posts, cfg, list(range(posts.num_frames)), recorder)
+    return decode(wfst, posts, replace(cfg, mode="fsd"), recorder)
 
 
 def decode_lsd(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
                recorder=None) -> DecodeResult:
     """Label-synchronous decoding: blank frames are discarded unsearched."""
-    mask = classify_blank_frames(posts, cfg.blank_threshold)
-    return _search(wfst, posts, cfg, mask.nonblank_frames(), recorder)
+    return decode(wfst, posts, replace(cfg, mode="lsd"), recorder)
 
 
 def decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
            recorder=None) -> DecodeResult:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "fsd":
-        return decode_fsd(wfst, posts, cfg, recorder)
-    return decode_lsd(wfst, posts, cfg, recorder)
+    """Decode in cfg.mode."""
+    return _search(wfst, posts, cfg, select_frames(posts, cfg), recorder)

@@ -573,6 +573,13 @@ def format_lattice_text(lat: Lattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_cost(tok: str, ln: str) -> float:
+    cost = float(tok)
+    if math.isnan(cost):
+        raise LatticeError(f"NaN cost in lattice line {ln!r}")
+    return cost
+
+
 def parse_lattice_text(text: str) -> Lattice:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -593,23 +600,26 @@ def parse_lattice_text(text: str) -> Lattice:
     arcs: list[LatticeArc] = []
     for ln in lines[1:]:
         fields = ln.split()
-        if fields[0] == "N":
-            if len(fields) not in (4, 6) or (len(fields) == 6 and fields[4] != "final"):
-                raise LatticeError(f"bad node line {ln!r}")
-            idx = int(fields[1])
-            if idx != len(nodes):
-                raise LatticeError(f"node ids must be dense and ordered; got {ln!r}")
-            nodes.append(LatticeNode(int(fields[2]), int(fields[3])))
-            if len(fields) == 6:
-                finals[idx] = float(fields[5])
-        elif fields[0] == "A":
-            if len(fields) != 7:
-                raise LatticeError(f"bad arc line {ln!r}")
-            arcs.append(LatticeArc(int(fields[1]), int(fields[2]), int(fields[3]),
-                                   int(fields[4]), float(fields[5]), float(fields[6]),
-                                   tie=len(arcs)))
-        else:
-            raise LatticeError(f"unrecognized lattice line {ln!r}")
+        try:
+            if fields[0] == "N":
+                if len(fields) not in (4, 6) or (len(fields) == 6 and fields[4] != "final"):
+                    raise LatticeError(f"bad node line {ln!r}")
+                idx = int(fields[1])
+                if idx != len(nodes):
+                    raise LatticeError(f"node ids must be dense and ordered; got {ln!r}")
+                nodes.append(LatticeNode(int(fields[2]), int(fields[3])))
+                if len(fields) == 6:
+                    finals[idx] = _parse_cost(fields[5], ln)
+            elif fields[0] == "A":
+                if len(fields) != 7:
+                    raise LatticeError(f"bad arc line {ln!r}")
+                arcs.append(LatticeArc(int(fields[1]), int(fields[2]), int(fields[3]),
+                                       int(fields[4]), _parse_cost(fields[5], ln),
+                                       _parse_cost(fields[6], ln), tie=len(arcs)))
+            else:
+                raise LatticeError(f"unrecognized lattice line {ln!r}")
+        except ValueError:
+            raise LatticeError(f"malformed number in lattice line {ln!r}") from None
 
     if len(nodes) != n_nodes or len(arcs) != n_arcs:
         raise LatticeError(

@@ -7,10 +7,15 @@ queue) and its lanes stripe across the token's out-going arcs.  Destination
 states recombine through an indivisible compare-and-minimize on a dense
 per-state slot array, and a full barrier separates steps.
 
-Recombination uses the same (cost, predecessor state id, arc index) total
-order as the serial decoder, so the final slot contents are independent of
-scheduling and `parallel_decode` reproduces the serial DecodeResult bit for
-bit, for any worker count and group size.
+The engine is a step strategy for the serial driver `decoder._search`:
+`parallel_decode` hands it a step function with `viterbi_step`'s signature,
+and the driver does everything around the steps.  A slot holds the serial
+recombination entry (cost, src, arc, prev) and is ordered by the same
+(cost, predecessor state id, arc index) total order, so the final slot
+contents are independent of scheduling.  The step prunes them and writes
+their trace records with the serial `_survivors`, on the driver thread, so
+`parallel_decode` reproduces the serial DecodeResult bit for bit, for any
+worker count and group size.
 """
 
 from __future__ import annotations
@@ -18,20 +23,9 @@ from __future__ import annotations
 import math
 import threading
 
-from .decoder import (
-    DecodeConfig,
-    DecodeResult,
-    Token,
-    TraceArena,
-    _check_compatible,
-    _initial_tokens,
-    _prune_candidates,
-    backtrace,
-    final_transition,
-    select_frames,
-)
-from .posteriors import PosteriorMatrix, frame_costs
-from .wfst import Wfst, WfstError
+from .decoder import DecodeConfig, DecodeResult, _search, _survivors, select_frames
+from .posteriors import PosteriorMatrix
+from .wfst import Wfst
 
 INF = math.inf
 
@@ -84,14 +78,14 @@ class Dispatcher:
 class StateSlots:
     """Dense per-state recombination slots with atomic compare-and-minimize.
 
-    Each slot holds one immutable tuple (cost, owner state, owner arc,
-    trace); replacing the tuple under a stripe lock makes the update
+    Each slot holds one immutable serial recombination entry (cost, src,
+    arc, prev); replacing the tuple under a stripe lock makes the update
     indivisible while plain reads stay lock-free and consistent.
     """
 
     def __init__(self, num_states: int, stripes: int = 64, debug_epoch: bool = False):
         self.num_states = num_states
-        self._slots: list[tuple[float, int, int, int] | None] = [None] * num_states
+        self._slots: list[tuple | None] = [None] * num_states
         self._locks = [threading.Lock() for _ in range(max(1, min(stripes, num_states)))]
         self._debug_epoch = debug_epoch
         self._epoch = -1
@@ -100,16 +94,14 @@ class StateSlots:
         self._slots = [None] * self.num_states
         self._epoch = epoch
 
-    def read(self, state: int) -> tuple[float, int, int, int] | None:
+    def read(self, state: int) -> tuple | None:
         return self._slots[state]
 
-    def relax(self, state: int, cost: float, owner_state: int, owner_arc: int,
-              make_trace, epoch: int = 0) -> bool:
-        """Compare-and-minimize under the (cost, owner state, arc) total order.
+    def relax(self, state: int, cost: float, src: int, arc: int, prev,
+              epoch: int = 0) -> bool:
+        """Compare-and-minimize under the (cost, src, arc) total order.
 
-        `make_trace` is only invoked when the candidate wins, inside the
-        critical section, so the stored trace index always pairs with the
-        stored cost.
+        A winning candidate is stored as the entry (cost, src, arc, prev).
         """
         if self._debug_epoch and epoch != self._epoch:
             raise AssertionError(
@@ -122,30 +114,14 @@ class StateSlots:
                 ccost = cur[0]
                 if cost > ccost:
                     return False
-                if cost == ccost and (owner_state, owner_arc) >= (cur[1], cur[2]):
+                if cost == ccost and (src, arc) >= (cur[1], cur[2]):
                     return False
-            slots[state] = (cost, owner_state, owner_arc, make_trace())
+            slots[state] = (cost, src, arc, prev)
             return True
 
-    def finite_items(self) -> list[tuple[int, float, int]]:
-        """(state, cost, trace) for every occupied slot, by state id."""
-        return [(s, e[0], e[3]) for s, e in enumerate(self._slots) if e is not None]
-
-
-def relax_atomic(slots: StateSlots, state: int, cost: float, owner_state: int,
-                 owner_arc: int, make_trace=lambda: -1, epoch: int = 0) -> bool:
-    return slots.relax(state, cost, owner_state, owner_arc, make_trace, epoch)
-
-
-def aggregate_survivors(slots: StateSlots, beam: float,
-                        max_active: int | None) -> list[Token]:
-    """Compact occupied slots into the next step's queue, pruned like serial.
-
-    The queue is ordered by state id; beam and max-active semantics are the
-    serial decoder's own pruning function, so both engines cut identically.
-    """
-    kept = _prune_candidates(slots.finite_items(), beam, max_active)
-    return [Token(s, c, t) for s, c, t in kept]
+    def finite_items(self) -> list[tuple[int, float, tuple]]:
+        """(state, cost, entry) for every occupied slot, by state id."""
+        return [(s, e[0], e) for s, e in enumerate(self._slots) if e is not None]
 
 
 class WorkerPool:
@@ -216,141 +192,74 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         raise ValueError(f"workers must be >= 1, got {workers}")
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    cycle = wfst.epsilon_cycle()
-    if cycle is not None:
-        raise WfstError(
-            f"epsilon cycle with total weight {cycle.total_weight} through "
-            f"states {list(cycle.states)}; non-emitting propagation would not terminate")
-    _check_compatible(wfst, posts)
+    slots = StateSlots(wfst.num_states, debug_epoch=debug_epoch)
 
-    frames, _ = select_frames(posts, cfg)
-    arena = TraceArena()
-    arena_lock = threading.Lock()
-    live = _initial_tokens(wfst, cfg, arena, recorder)
-    expanded = 0
-    steps_run = 0
-    died_at: int | None = None
+    def threaded_step(wfst, live, costs, cfg, arena, step=0, recorder=None):
+        node_step = step + 1
+        if recorder is not None:
+            recorder.begin_step(node_step)
+        slots.clear(epoch=step)
+        claims = claim_ledger.begin_step(len(live)) if claim_ledger else None
+        dispatcher = Dispatcher(len(live), claims)
+        emitting = wfst.emitting_cache
 
-    arcs = wfst.arcs
-    offsets = wfst.arc_offsets
-    split = wfst.eps_split
-    n_lanes = group_size
+        def emit_phase(wid):
+            while True:
+                idx = dispatcher.claim_next(wid)
+                if idx is None:
+                    return
+                tok = live[idx]
+                st = tok.state
+                tcost = tok.cost
+                ttrace = tok.trace
+                arcs = emitting[st]
+                if arcs is None:
+                    arcs = wfst.emitting_arcs(st)
+                for lane in range(min(group_size, len(arcs))):
+                    for ai, dst, il, weight in arcs[lane::group_size]:
+                        ac = costs[il]
+                        if ac == INF:
+                            continue
+                        c = tcost + weight + ac
+                        if recorder is not None:
+                            recorder.emitting(node_step, st, ai, ac)
+                        slots.relax(dst, c, st, ai, ttrace, step)
 
-    def locked_add(prev, olabel, ilabel, step, arc_weight, acoustic):
-        with arena_lock:
-            return arena.add(prev, olabel, ilabel, step, arc_weight, acoustic)
+        pool.run(emit_phase)
 
-    if frames:
-        slots = StateSlots(wfst.num_states, debug_epoch=debug_epoch)
-        with WorkerPool(workers) as pool:
-            for s, f in enumerate(frames):
-                costs = frame_costs(posts, f, cfg.acoustic_scale)
-                node_step = s + 1
-                if recorder is not None:
-                    recorder.begin_step(node_step)
-                expanded += len(live)
-                slots.clear(epoch=s)
+        if wfst.has_epsilon_arcs:
+            epsilon = wfst.epsilon_cache
+            active = [st for st, _, _ in slots.finite_items()]
+            while active:
+                eps_dispatcher = Dispatcher(len(active))
+                improved: list[set[int]] = [set() for _ in range(workers)]
 
-                queue = live
-                claims = claim_ledger.begin_step(len(queue)) if claim_ledger else None
-                dispatcher = Dispatcher(len(queue), claims)
-
-                def emit_phase(wid, _queue=queue, _dispatcher=dispatcher,
-                               _costs=costs, _step=s, _node_step=node_step):
+                def eps_phase(wid):
+                    mine = improved[wid]
                     while True:
-                        idx = _dispatcher.claim_next(wid)
+                        idx = eps_dispatcher.claim_next(wid)
                         if idx is None:
                             return
-                        tok = _queue[idx]
-                        st = tok.state
-                        tcost = tok.cost
-                        ttrace = tok.trace
-                        lo = split[st]
-                        hi = offsets[st + 1]
-                        span = hi - lo
-                        for lane in range(min(n_lanes, span)):
-                            for ai in range(lo + lane, hi, n_lanes):
-                                arc = arcs[ai]
-                                ac = _costs[arc.ilabel]
-                                if ac == INF:
-                                    continue
-                                c = tcost + arc.weight + ac
-                                if recorder is not None:
-                                    recorder.emitting(_node_step, st, ai, ac)
-                                slots.relax(
-                                    arc.dst, c, st, ai,
-                                    lambda a=arc, p=ttrace, k=_step, acc=ac: locked_add(
-                                        p, a.olabel, a.ilabel, k, a.weight, acc),
-                                    epoch=_step)
+                        u = active[idx]
+                        # The entry as read here is what u's relaxations link to.
+                        entry = slots.read(u)
+                        ucost = entry[0]
+                        arcs = epsilon[u]
+                        if arcs is None:
+                            arcs = wfst.epsilon_arcs(u)
+                        for ai, dst, weight in arcs:
+                            if recorder is not None:
+                                recorder.epsilon(node_step, u, ai)
+                            if slots.relax(dst, ucost + weight, u, ai, entry, step):
+                                mine.add(dst)
 
-                pool.run(emit_phase)
+                pool.run(eps_phase)
+                active = sorted(set().union(*improved))
 
-                if wfst.has_epsilon_arcs:
-                    active = sorted(st for st, _, _ in slots.finite_items())
-                    while active:
-                        eps_dispatcher = Dispatcher(len(active))
-                        improved: list[set[int]] = [set() for _ in range(workers)]
+        survivors = _survivors(wfst, slots.finite_items(), costs, cfg, arena, step)
+        if recorder is not None:
+            recorder.survivors(node_step, tuple(t.state for t in survivors))
+        return survivors
 
-                        def eps_phase(wid, _active=active, _dispatcher=eps_dispatcher,
-                                      _improved=improved, _step=s, _node_step=node_step):
-                            mine = _improved[wid]
-                            while True:
-                                idx = _dispatcher.claim_next(wid)
-                                if idx is None:
-                                    return
-                                u = _active[idx]
-                                entry = slots.read(u)
-                                if entry is None:
-                                    continue
-                                ucost = entry[0]
-                                utrace = entry[3]
-                                for ai in range(offsets[u], split[u]):
-                                    arc = arcs[ai]
-                                    dst = arc.dst
-                                    if dst == u:
-                                        continue
-                                    if recorder is not None:
-                                        recorder.epsilon(_node_step, u, ai)
-                                    c = ucost + arc.weight
-                                    if slots.relax(
-                                            dst, c, u, ai,
-                                            lambda a=arc, p=utrace, k=_step: locked_add(
-                                                p, a.olabel, a.ilabel, k, a.weight, 0.0),
-                                            epoch=_step):
-                                        mine.add(dst)
-
-                        pool.run(eps_phase)
-                        merged: set[int] = set()
-                        for part in improved:
-                            merged |= part
-                        active = sorted(merged)
-
-                survivors = aggregate_survivors(slots, cfg.beam, cfg.max_active)
-                if recorder is not None:
-                    recorder.survivors(node_step, tuple(t.state for t in survivors))
-                steps_run += 1
-                if not survivors:
-                    died_at = s
-                    break
-                live = survivors
-
-    if died_at is None:
-        best, reached = final_transition(wfst, live)
-        last_step = steps_run
-    else:
-        best = min(live, key=lambda t: (t.cost, t.state))
-        reached = False
-        last_step = died_at
-
-    olabels, ilabels = backtrace(best, arena)
-    if recorder is not None:
-        recorder.finish(last_step, best.state, reached)
-    return DecodeResult(
-        total_cost=best.cost,
-        olabels=olabels,
-        ilabels=ilabels,
-        search_steps=steps_run,
-        tokens_expanded=expanded,
-        reached_final=reached,
-        died_at_step=died_at,
-    )
+    with WorkerPool(workers) as pool:
+        return _search(wfst, posts, cfg, select_frames(posts, cfg), recorder, threaded_step)

@@ -133,17 +133,13 @@ def acoustic_cost(p: PosteriorMatrix, frame: int, label: int, scale: float = 1.0
     return -scale * math.log(prob)
 
 
-def frame_costs(p: PosteriorMatrix, frame: int, scale: float = 1.0) -> list[float]:
-    """Costs for all non-blank labels at `frame`, indexed by label id.
+def frame_cost_table(p: PosteriorMatrix, frames: list[int],
+                     scale: float = 1.0) -> list[list[float]]:
+    """Costs for all non-blank labels at each frame in `frames`, indexed by
+    label id, from one vectorized log.
 
     Index 0 (epsilon) is +inf; epsilon arcs are never acoustically scored.
     """
-    return frame_cost_table(p, [frame], scale)[0]
-
-
-def frame_cost_table(p: PosteriorMatrix, frames: list[int],
-                     scale: float = 1.0) -> list[list[float]]:
-    """`frame_costs` of every frame in `frames`, from one vectorized log."""
     table = np.full((len(frames), p.num_labels), math.inf)
     with np.errstate(divide="ignore"):
         table[:, 1:] = -scale * np.log(p.rows[frames][:, p._label_cols])

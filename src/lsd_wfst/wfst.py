@@ -23,14 +23,6 @@ ZERO = math.inf  # tropical "no path"
 ONE = 0.0  # tropical path identity
 
 
-def tropical_plus(a: float, b: float) -> float:
-    return a if a <= b else b
-
-
-def tropical_times(a: float, b: float) -> float:
-    return a + b
-
-
 class WfstError(Exception):
     """Base class for transducer construction and parsing failures."""
 
@@ -413,10 +405,6 @@ def parse_wfst_text(text: str, isyms: SymbolTable | None = None,
     if start is None:
         raise ParseError("no states found in transducer text")
     return Wfst(max_state + 1, start, arcs, finals)
-
-
-def out_arcs(w: Wfst, state: int) -> list[Arc]:
-    return w.out_arcs(state)
 
 
 def _epsilon_topo_order(w: Wfst, states) -> list[int] | None:

@@ -234,6 +234,17 @@ class TestLatticeCommand:
         assert run_cli(["lattice", "--lattice-in", "/nope.lat"]) == 2
 
 
+@pytest.mark.parametrize("command", ["decode", "bench"])
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-2"),
+                                        ("--group-size", "0"), ("--workers", "two")])
+def test_nonpositive_workers_or_group_size_exit_2(one_arc_files, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--graph", one_arc_files["graph"],
+                 "--posts", one_arc_files["posts"], flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -266,6 +266,19 @@ class TestLatticeText:
         with pytest.raises(LatticeError):
             parse_lattice_text("LATTICE nodes=x arcs=0\n")
 
+    @pytest.mark.parametrize("line", [
+        "N x 0 0", "N 0 0 0.5", "N 0 0 0 final 1.0x", "N 0 0 0 final nan",
+        "N 0 0 0 final NaN", "A 0 0 1 1 nan 0.0", "A 0 0 1 1 0.0 -nan", "A 0 0 x 1 0.0 0.0",
+    ])
+    def test_malformed_field_rejected(self, line):
+        text = "LATTICE nodes=1 arcs=1\nN 0 0 0\nA 0 0 1 1 0.0 0.0\n"
+        if line.startswith("N"):
+            text = text.replace("N 0 0 0", line)
+        else:
+            text = text.replace("A 0 0 1 1 0.0 0.0", line)
+        with pytest.raises(LatticeError, match="lattice line"):
+            parse_lattice_text(text)
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(LatticeError):
             parse_lattice_text("LATTICE nodes=2 arcs=0\nN 0 0 0\n")

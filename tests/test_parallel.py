@@ -5,13 +5,22 @@ import itertools
 import math
 import random
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsd_wfst.decoder import DecodeConfig, decode, decode_fsd, decode_lsd
+from lsd_wfst.decoder import (
+    DecodeConfig,
+    TraceArena,
+    _prune_candidates,
+    _survivors,
+    decode,
+    decode_fsd,
+    decode_lsd,
+)
 from lsd_wfst.fixtures import make_random_posteriors, make_random_wfst
 from lsd_wfst.lattice import LatticeRecorder, PipelinedLatticeBuilder, build_lattice
 from lsd_wfst.parallel import (
@@ -19,9 +28,7 @@ from lsd_wfst.parallel import (
     Dispatcher,
     StateSlots,
     WorkerPool,
-    aggregate_survivors,
     parallel_decode,
-    relax_atomic,
 )
 from lsd_wfst.posteriors import PosteriorMatrix
 from lsd_wfst.wfst import Arc, Wfst
@@ -87,7 +94,7 @@ class TestRelaxAtomic:
             slots = StateSlots(8)
             slots.clear()
             for owner_state, owner_arc, cost in perm:
-                relax_atomic(slots, 7, cost, owner_state, owner_arc)
+                slots.relax(7, cost, owner_state, owner_arc, None)
             entry = slots.read(7)
             assert entry[0] == 3.5
             assert entry[1] == 5
@@ -100,7 +107,7 @@ class TestRelaxAtomic:
 
         def worker(chunk):
             for owner_state, owner_arc, cost in chunk:
-                relax_atomic(slots, 0, cost, owner_state, owner_arc)
+                slots.relax(0, cost, owner_state, owner_arc, None)
 
         rng = random.Random(0)
         for _ in range(20):
@@ -118,52 +125,57 @@ class TestRelaxAtomic:
         for first, second in itertools.permutations([(3, 30), (9, 31)]):
             slots = StateSlots(1)
             slots.clear()
-            relax_atomic(slots, 0, 2.0, *first)
-            relax_atomic(slots, 0, 2.0, *second)
+            slots.relax(0, 2.0, *first, None)
+            slots.relax(0, 2.0, *second, None)
             assert slots.read(0)[1] == 3
 
     def test_single_relaxation_accepted(self):
         slots = StateSlots(4)
         slots.clear()
-        assert relax_atomic(slots, 2, 1.25, 0, 7) is True
-        assert relax_atomic(slots, 2, 1.30, 1, 8) is False
+        assert slots.relax(2, 1.25, 0, 7, None) is True
+        assert slots.relax(2, 1.30, 1, 8, None) is False
 
     def test_epoch_guard_catches_stale_phase(self):
         slots = StateSlots(4, debug_epoch=True)
         slots.clear(epoch=3)
-        relax_atomic(slots, 1, 1.0, 0, 0, epoch=3)
+        slots.relax(1, 1.0, 0, 0, None, epoch=3)
         with pytest.raises(AssertionError):
-            relax_atomic(slots, 1, 0.5, 0, 0, epoch=2)
+            slots.relax(1, 0.5, 0, 0, None, epoch=2)
 
 
 class TestAggregateSurvivors:
+    """Occupied slots feed the serial survivor path: `finite_items` gives the
+    (state, cost, entry) triples ordered by state id that `_survivors` and
+    `_prune_candidates` take."""
+
     def test_compacts_in_state_order(self):
+        w = Wfst(10, 0, [Arc(0, 1, 1, 1, 0.0)], {})
         slots = StateSlots(10)
         slots.clear()
         for state, cost in ((7, 1.0), (2, 3.0), (5, 2.0)):
-            relax_atomic(slots, state, cost, 0, 0)
-        queue = aggregate_survivors(slots, beam=INF, max_active=None)
+            slots.relax(state, cost, 0, 0, -1)
+        queue = _survivors(w, slots.finite_items(), [INF, 0.0], DecodeConfig(),
+                           TraceArena(), 0)
         assert [t.state for t in queue] == [2, 5, 7]
         assert [t.cost for t in queue] == [3.0, 2.0, 1.0]
 
     def test_all_empty_slots_mean_search_death(self):
         slots = StateSlots(10)
         slots.clear()
-        assert aggregate_survivors(slots, beam=INF, max_active=None) == []
+        assert slots.finite_items() == []
+        assert _prune_candidates(slots.finite_items(), INF, None) == []
 
     def test_pruning_cut_matches_serial_rule_mid_tie(self):
-        from lsd_wfst.decoder import _prune_candidates
-
         slots = StateSlots(6)
         slots.clear()
         items = [(0, 1.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 5.0)]
         for state, cost in items:
-            relax_atomic(slots, state, cost, 0, 0)
-        got = aggregate_survivors(slots, beam=3.0, max_active=3)
+            slots.relax(state, cost, 0, 0, -1)
+        got = _prune_candidates(slots.finite_items(), 3.0, 3)
         want = _prune_candidates([(s, c, -1) for s, c in items], 3.0, 3)
-        assert [(t.state, t.cost) for t in got] == [(s, c) for s, c, _ in want]
+        assert [(s, c) for s, c, _ in got] == [(s, c) for s, c, _ in want]
         # Equal costs 2.0 at states 1,2,3: the cut keeps the lower state ids.
-        assert [t.state for t in got] == [0, 1, 2]
+        assert [s for s, _, _ in got] == [0, 1, 2]
 
 
 class TestWorkerPool:
@@ -287,6 +299,78 @@ class TestParallelDecode:
             parallel_decode(w, p, cfg, workers=0)
         with pytest.raises(ValueError):
             parallel_decode(w, p, cfg, workers=1, group_size=0)
+
+
+class HookLog:
+    """Recorder that logs every hook call; worker threads call two of them."""
+
+    def __init__(self):
+        self.calls = {"begin_step": [], "emitting": [], "epsilon": [], "survivors": [],
+                      "finish": []}
+        self._lock = threading.Lock()
+
+    def _log(self, hook, *args):
+        with self._lock:
+            self.calls[hook].append(args)
+
+    def begin_step(self, step):
+        self._log("begin_step", step)
+
+    def emitting(self, step, src, arc, acoustic):
+        self._log("emitting", step, src, arc, acoustic)
+
+    def epsilon(self, step, src, arc):
+        self._log("epsilon", step, src, arc)
+
+    def survivors(self, step, states):
+        self._log("survivors", step, states)
+
+    def finish(self, last_step, best_state, reached):
+        self._log("finish", last_step, best_state, reached)
+
+
+def _eps_heavy_instances():
+    for seed in range(4):
+        rng = random.Random(seed + 500)
+        w = make_random_wfst(rng, num_states=14, num_arcs=50, num_labels=2,
+                             weight_grid=[0.0, 0.5, 1.0], eps_fraction=0.6)
+        yield w, uniform_posteriors(4, 2)
+
+
+class TestRecorderHookParity:
+    """Both engines drive the recorder hook alike: begin_step, survivors and
+    finish in the same order, emitting calls as the same multiset and
+    epsilon calls as the same set (each call carries its step).
+
+    Epsilon calls can repeat in different numbers: the serial FIFO fixpoint
+    and the threaded rounds re-relax a state that improves again after it
+    relaxed a different number of times, but never a different arc."""
+
+    def _assert_same_hooks(self, w, p, cfg):
+        serial = HookLog()
+        want = decode(w, p, cfg, recorder=serial)
+        for workers in (1, 2, 3):
+            threaded = HookLog()
+            assert parallel_decode(w, p, cfg, workers=workers, group_size=2,
+                                   recorder=threaded) == want
+            for hook in ("begin_step", "survivors", "finish"):
+                assert threaded.calls[hook] == serial.calls[hook], hook
+            assert Counter(threaded.calls["emitting"]) == Counter(serial.calls["emitting"])
+            assert set(threaded.calls["epsilon"]) == set(serial.calls["epsilon"])
+
+    def test_search_death_at_step_0(self, one_arc_wfst):
+        p = PosteriorMatrix(np.array([[1.0, 0.0]]), blank_col=0)
+        self._assert_same_hooks(one_arc_wfst, p, DecodeConfig(mode="fsd"))
+
+    def test_all_blank_lsd_zero_steps(self, one_arc_wfst):
+        p = PosteriorMatrix(np.full((6, 2), [0.999, 0.001]), blank_col=0)
+        self._assert_same_hooks(one_arc_wfst, p, DecodeConfig(mode="lsd"))
+
+    @pytest.mark.parametrize("max_active", [None, 3])
+    def test_epsilon_heavy_graphs(self, max_active):
+        for w, p in _eps_heavy_instances():
+            self._assert_same_hooks(w, p, DecodeConfig(mode="fsd", beam=1.5,
+                                                       max_active=max_active))
 
 
 GRID = [0.0, 0.5, 1.0]

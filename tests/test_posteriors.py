@@ -15,7 +15,6 @@ from lsd_wfst.posteriors import (
     format_posteriors_binary,
     format_posteriors_text,
     frame_cost_table,
-    frame_costs,
     load_posteriors,
 )
 
@@ -189,7 +188,7 @@ class TestAcousticCost:
     def test_frame_costs_indexing(self):
         rows = np.array([[0.1, 0.4, 0.5]])
         p = PosteriorMatrix(rows, blank_col=0)
-        costs = frame_costs(p, 0, scale=1.0)
+        costs = frame_cost_table(p, [0], 1.0)[0]
         assert costs[0] == math.inf
         assert costs[1] == pytest.approx(-math.log(0.4))
         assert costs[2] == pytest.approx(-math.log(0.5))
