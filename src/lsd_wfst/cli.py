@@ -65,7 +65,7 @@ def _add_decode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--osyms", help="output symbol table")
     p.add_argument("--mode", choices=("fsd", "lsd"), default="lsd")
     p.add_argument("--beam", type=float, default=math.inf)
-    p.add_argument("--max-active", type=int, default=None)
+    p.add_argument("--max-active", type=_positive_int, default=None)
     p.add_argument("--blank-threshold", type=float, default=0.98)
     p.add_argument("--acoustic-scale", type=float, default=1.0)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -91,8 +91,7 @@ def _load_inputs(args):
 
 
 def _config_from_args(args) -> DecodeConfig:
-    max_active = args.max_active if args.max_active and args.max_active > 0 else None
-    return DecodeConfig(beam=args.beam, max_active=max_active,
+    return DecodeConfig(beam=args.beam, max_active=args.max_active,
                         blank_threshold=args.blank_threshold,
                         acoustic_scale=args.acoustic_scale, mode=args.mode)
 

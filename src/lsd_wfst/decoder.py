@@ -10,7 +10,10 @@ and is therefore exactly FSD on the non-blank frame subsequence.
 Recombination ties resolve by the total order (cost, predecessor state id,
 arc index), which makes results reproducible and lets the parallel engine
 match this module bit for bit.  A step recombines (cost, src, arc, prev)
-entries and writes trace records only for the tokens that survive pruning.
+entries, and a surviving token's trace is its entry: prev links to the
+entry it came from, so the chain of entries is the backpointer store and
+the backtrace follows it to the start state's root entry.  A pruned
+branch is freed once no live entry links to it.
 
 `_search` is the one search driver.  It owns everything around the steps:
 the graph checks, frame scoring, the start closure, search death, the
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .posteriors import PosteriorMatrix, classify_blank_frames, frame_cost_table
@@ -31,7 +34,8 @@ from .wfst import Wfst, WfstError
 
 INF = math.inf
 
-ROOT_TRACE = -1
+# The start state's recombination entry (cost, src, arc, prev).
+ROOT_ENTRY = (0.0, -1, -1, None)
 
 # Sort keys over (state, cost, payload) pruning candidates.
 _STATE = itemgetter(0)
@@ -41,37 +45,16 @@ _COST_STATE = itemgetter(1, 0)
 
 @dataclass(frozen=True)
 class Token:
-    """One live hypothesis: a state, its accumulated cost, and a trace link."""
+    """One live hypothesis: a state, its accumulated cost, and its trace,
+    the recombination entry it came from.
+
+    The trace is left out of equality, hashing and repr: each would walk
+    the whole entry chain, recursively.
+    """
 
     state: int
     cost: float
-    trace: int
-
-
-class TraceArena:
-    """Append-only backpointer storage; records never mutate once added."""
-
-    def __init__(self):
-        self.prev: list[int] = []
-        self.olabel: list[int] = []
-        self.ilabel: list[int] = []
-        self.step: list[int] = []
-        self.arc_weight: list[float] = []
-        self.acoustic: list[float] = []
-
-    def add(self, prev: int, olabel: int, ilabel: int, step: int,
-            arc_weight: float, acoustic: float) -> int:
-        idx = len(self.prev)
-        self.prev.append(prev)
-        self.olabel.append(olabel)
-        self.ilabel.append(ilabel)
-        self.step.append(step)
-        self.arc_weight.append(arc_weight)
-        self.acoustic.append(acoustic)
-        return idx
-
-    def __len__(self) -> int:
-        return len(self.prev)
+    trace: tuple = field(compare=False, repr=False)
 
 
 @dataclass
@@ -178,64 +161,15 @@ def _prune_candidates(items: list[tuple], beam: float, max_active: int | None) -
     return kept
 
 
-def _trace(entry: tuple, arena: TraceArena, arcs, costs, step: int, memo: dict) -> int:
-    """Trace index of a recombination entry, adding its record to the arena.
-
-    `entry` is (cost, src state, arc index, prev).  prev is a trace index
-    for an emitting arc, the predecessor's entry for an epsilon arc, and
-    None for the start state's root entry, which has no record.  Epsilon
-    predecessors are recorded on the way; `memo` maps the id of each entry
-    recorded this step to its index, so none is recorded twice.
-    """
-    pending = []
-    while True:
-        idx = memo.get(id(entry))
-        if idx is not None:
-            break
-        prev = entry[3]
-        if prev is None:
-            idx = ROOT_TRACE
-            break
-        pending.append(entry)
-        if prev.__class__ is int:
-            idx = prev
-            break
-        entry = prev
-    for e in reversed(pending):
-        arc = arcs[e[2]]
-        il = arc.ilabel
-        idx = arena.add(idx, arc.olabel, il, step, arc.weight, costs[il] if il else 0.0)
-        memo[id(e)] = idx
-    return idx
-
-
-def _survivors(wfst: Wfst, items: list[tuple], costs, cfg: DecodeConfig,
-               arena: TraceArena, step: int) -> list[Token]:
-    """Prune the step's (state, cost, entry) candidates, ordered by state id,
-    and write trace records for the survivors only."""
-    kept = _prune_candidates(items, cfg.beam, cfg.max_active)
-    arcs = wfst.arcs
-    add = arena.add
-    memo: dict[int, int] = {}
-    survivors = []
-    for s, c, entry in kept:
-        prev = entry[3]
-        if prev.__class__ is int:  # emitting arc: inline the common case of _trace
-            key = id(entry)
-            idx = memo.get(key)
-            if idx is None:
-                arc = arcs[entry[2]]
-                il = arc.ilabel
-                idx = memo[key] = add(prev, arc.olabel, il, step, arc.weight, costs[il])
-        else:
-            idx = _trace(entry, arena, arcs, costs, step, memo)
-        survivors.append(Token(s, c, idx))
-    return survivors
+def _survivors(items: list[tuple], cfg: DecodeConfig) -> list[Token]:
+    """Prune the step's (state, cost, entry) candidates, ordered by state id;
+    each survivor's trace is its entry."""
+    return [Token(s, c, entry)
+            for s, c, entry in _prune_candidates(items, cfg.beam, cfg.max_active)]
 
 
 def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
-                 cfg: DecodeConfig, arena: TraceArena, step: int = 0,
-                 recorder=None) -> list[Token]:
+                 cfg: DecodeConfig, step: int = 0, recorder=None) -> list[Token]:
     """One search step: emit, recombine, epsilon-propagate, prune.
 
     `costs` holds per-label acoustic costs for the consumed frame, indexed
@@ -271,24 +205,20 @@ def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
 
-    survivors = _survivors(wfst, [(s, cand[s][0], cand[s]) for s in sorted(cand)],
-                           costs, cfg, arena, step)
+    survivors = _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
     if recorder is not None:
         recorder.survivors(node_step, tuple(t.state for t in survivors))
     return survivors
 
 
-def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, arena: TraceArena,
-                    recorder=None) -> list[Token]:
+def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, recorder=None) -> list[Token]:
     """Start token plus its epsilon closure, pruned like any other step."""
     if recorder is not None:
         recorder.begin_step(0)
-    cand: dict[int, tuple] = {wfst.start: (0.0, -1, -1, None)}
+    cand: dict[int, tuple] = {wfst.start: ROOT_ENTRY}
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, 0)
-    # No acoustic costs: the start closure crosses epsilon arcs only.
-    survivors = _survivors(wfst, [(s, cand[s][0], cand[s]) for s in sorted(cand)],
-                           (), cfg, arena, 0)
+    survivors = _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
     if recorder is not None:
         states = {t.state for t in survivors}
         states.add(wfst.start)  # keep the lattice rooted even under brutal pruning
@@ -320,19 +250,19 @@ def final_transition(wfst: Wfst, live: list[Token]) -> tuple[Token, bool]:
     return fallback, False
 
 
-def backtrace(token: Token, arena: TraceArena) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Follow trace links to the root; non-epsilon labels in path order."""
+def backtrace(token: Token, wfst: Wfst) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Follow the entry links to the root; non-epsilon labels in path order."""
     olabels: list[int] = []
     ilabels: list[int] = []
-    idx = token.trace
-    while idx != ROOT_TRACE:
-        ol = arena.olabel[idx]
-        il = arena.ilabel[idx]
-        if ol != 0:
-            olabels.append(ol)
-        if il != 0:
-            ilabels.append(il)
-        idx = arena.prev[idx]
+    arcs = wfst.arcs
+    entry = token.trace
+    while entry[3] is not None:
+        arc = arcs[entry[2]]
+        if arc.olabel != 0:
+            olabels.append(arc.olabel)
+        if arc.ilabel != 0:
+            ilabels.append(arc.ilabel)
+        entry = entry[3]
     olabels.reverse()
     ilabels.reverse()
     return tuple(olabels), tuple(ilabels)
@@ -357,15 +287,14 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     _check_compatible(wfst, posts)
 
     table = frame_cost_table(posts, frames, cfg.acoustic_scale)
-    arena = TraceArena()
-    live = _initial_tokens(wfst, cfg, arena, recorder)
+    live = _initial_tokens(wfst, cfg, recorder)
     expanded = 0
     steps_run = 0
     died_at: int | None = None
 
     for s, costs in enumerate(table):
         expanded += len(live)
-        nxt = step(wfst, live, costs, cfg, arena, s, recorder)
+        nxt = step(wfst, live, costs, cfg, s, recorder)
         steps_run += 1
         if not nxt:
             died_at = s
@@ -380,7 +309,7 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         reached = False
         last_step = died_at  # node step of the last non-empty token set
 
-    olabels, ilabels = backtrace(best, arena)
+    olabels, ilabels = backtrace(best, wfst)
     if recorder is not None:
         recorder.finish(last_step, best.state, reached)
     return DecodeResult(

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .posteriors import PosteriorMatrix, format_posteriors_binary, format_posteriors_text
+from .posteriors import PosteriorMatrix, save_posteriors
 from .wfst import Arc, SymbolTable, Wfst
 
 
@@ -197,12 +197,7 @@ def generate_fixture(kind: str, out_prefix: str, seed: int = 0,
     }
     with open(paths["graph"], "w", encoding="utf-8") as fh:
         fh.write(graph.to_text())
-    if binary_posteriors:
-        with open(paths["posts"], "wb") as fh:
-            fh.write(format_posteriors_binary(posts))
-    else:
-        with open(paths["posts"], "w", encoding="utf-8") as fh:
-            fh.write(format_posteriors_text(posts))
+    save_posteriors(posts, paths["posts"], binary=binary_posteriors)
     for key in ("isyms", "osyms"):
         with open(paths[key], "w", encoding="utf-8") as fh:
             fh.write(syms.format())

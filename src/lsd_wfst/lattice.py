@@ -153,11 +153,8 @@ class _Accumulator:
 
         arcs = self.wfst.arcs
         if k > 0:
-            seen: set[tuple[int, int]] = set()
+            # Both engines relax each (src, arc) at most once per step.
             for src, ai, ac in rec.emit:
-                if (src, ai) in seen:
-                    continue
-                seen.add((src, ai))
                 arc = arcs[ai]
                 if src in self._prev and arc.dst in surv:
                     self.raw_arcs.append((LatticeNode(src, k - 1), LatticeNode(arc.dst, k),

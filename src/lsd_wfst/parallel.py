@@ -12,8 +12,9 @@ The engine is a step strategy for the serial driver `decoder._search`:
 and the driver does everything around the steps.  A slot holds the serial
 recombination entry (cost, src, arc, prev) and is ordered by the same
 (cost, predecessor state id, arc index) total order, so the final slot
-contents are independent of scheduling.  The step prunes them and writes
-their trace records with the serial `_survivors`, on the driver thread, so
+contents are independent of scheduling.  The step prunes them with the
+serial `_survivors`, on the driver thread; as in the serial step, each
+survivor's trace is its entry, whose links form the backpointer chain.  So
 `parallel_decode` reproduces the serial DecodeResult bit for bit, for any
 worker count and group size.
 """
@@ -76,26 +77,27 @@ class Dispatcher:
 
 
 class StateSlots:
-    """Dense per-state recombination slots with atomic compare-and-minimize.
+    """Per-state recombination slots with atomic compare-and-minimize.
 
     Each slot holds one immutable serial recombination entry (cost, src,
     arc, prev); replacing the tuple under a stripe lock makes the update
-    indivisible while plain reads stay lock-free and consistent.
+    indivisible while plain reads stay lock-free and consistent.  Only
+    occupied slots are stored, so clearing and listing them cost the
+    number of states a step reached, not the graph's size.
     """
 
     def __init__(self, num_states: int, stripes: int = 64, debug_epoch: bool = False):
-        self.num_states = num_states
-        self._slots: list[tuple | None] = [None] * num_states
+        self._slots: dict[int, tuple] = {}
         self._locks = [threading.Lock() for _ in range(max(1, min(stripes, num_states)))]
         self._debug_epoch = debug_epoch
         self._epoch = -1
 
     def clear(self, epoch: int = 0) -> None:
-        self._slots = [None] * self.num_states
+        self._slots = {}
         self._epoch = epoch
 
     def read(self, state: int) -> tuple | None:
-        return self._slots[state]
+        return self._slots.get(state)
 
     def relax(self, state: int, cost: float, src: int, arc: int, prev,
               epoch: int = 0) -> bool:
@@ -109,7 +111,7 @@ class StateSlots:
         slots = self._slots
         lock = self._locks[state % len(self._locks)]
         with lock:
-            cur = slots[state]
+            cur = slots.get(state)
             if cur is not None:
                 ccost = cur[0]
                 if cost > ccost:
@@ -121,7 +123,8 @@ class StateSlots:
 
     def finite_items(self) -> list[tuple[int, float, tuple]]:
         """(state, cost, entry) for every occupied slot, by state id."""
-        return [(s, e[0], e) for s, e in enumerate(self._slots) if e is not None]
+        slots = self._slots
+        return [(s, slots[s][0], slots[s]) for s in sorted(slots)]
 
 
 class WorkerPool:
@@ -194,7 +197,7 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     slots = StateSlots(wfst.num_states, debug_epoch=debug_epoch)
 
-    def threaded_step(wfst, live, costs, cfg, arena, step=0, recorder=None):
+    def threaded_step(wfst, live, costs, cfg, step=0, recorder=None):
         node_step = step + 1
         if recorder is not None:
             recorder.begin_step(node_step)
@@ -256,7 +259,7 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
                 pool.run(eps_phase)
                 active = sorted(set().union(*improved))
 
-        survivors = _survivors(wfst, slots.finite_items(), costs, cfg, arena, step)
+        survivors = _survivors(slots.finite_items(), cfg)
         if recorder is not None:
             recorder.survivors(node_step, tuple(t.state for t in survivors))
         return survivors

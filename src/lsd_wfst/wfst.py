@@ -261,9 +261,6 @@ class Wfst:
         self._check_state(state)
         return self.final_weights.get(state, ZERO)
 
-    def is_final(self, state: int) -> bool:
-        return state in self.final_weights
-
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.num_states:
             raise IndexError(f"state {state} out of range [0, {self.num_states})")

@@ -236,7 +236,8 @@ class TestLatticeCommand:
 
 @pytest.mark.parametrize("command", ["decode", "bench"])
 @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-2"),
-                                        ("--group-size", "0"), ("--workers", "two")])
+                                        ("--group-size", "0"), ("--workers", "two"),
+                                        ("--max-active", "0"), ("--max-active", "-5")])
 def test_nonpositive_workers_or_group_size_exit_2(one_arc_files, capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--graph", one_arc_files["graph"],

@@ -2,15 +2,16 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from lsd_wfst.decoder import (
-    ROOT_TRACE,
+    ROOT_ENTRY,
     DecodeConfig,
     Token,
-    TraceArena,
+    _initial_tokens,
     backtrace,
     decode_fsd,
     decode_lsd,
@@ -28,14 +29,13 @@ INF = math.inf
 
 
 def root_token(state, cost=0.0):
-    return Token(state, cost, ROOT_TRACE)
+    return Token(state, cost, ROOT_ENTRY)
 
 
 class TestViterbiStep:
     def test_single_relaxation(self, one_arc_wfst):
-        arena = TraceArena()
         cfg = DecodeConfig()
-        out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, 0.2], cfg, arena)
+        out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, 0.2], cfg)
         assert len(out) == 1
         tok = out[0]
         assert tok.state == 1
@@ -45,10 +45,9 @@ class TestViterbiStep:
         # Two sources relax into state 3; the 3.5 candidate must survive.
         text = "1 3 1 1 0.0\n2 3 1 1 0.0\n3 0.0"
         w = parse_wfst_text(text)
-        arena = TraceArena()
         cfg = DecodeConfig()
         live = [root_token(1, 3.3), root_token(2, 3.7)]
-        out = viterbi_step(w, live, [INF, 0.2], cfg, arena)
+        out = viterbi_step(w, live, [INF, 0.2], cfg)
         assert len(out) == 1
         assert out[0].state == 3
         assert out[0].cost == pytest.approx(3.5)
@@ -57,12 +56,11 @@ class TestViterbiStep:
         # Same total cost from states 1 and 2; olabels expose the winner.
         text = "1 3 1 5 0.0\n2 3 1 6 0.0\n3 0.0"
         w = parse_wfst_text(text)
-        arena = TraceArena()
         cfg = DecodeConfig()
         live = [root_token(1, 2.0), root_token(2, 2.0)]
-        out = viterbi_step(w, live, [INF, 0.1], cfg, arena)
+        out = viterbi_step(w, live, [INF, 0.1], cfg)
         assert len(out) == 1
-        olabels, _ = backtrace(out[0], arena)
+        olabels, _ = backtrace(out[0], w)
         assert olabels == (5,)
 
     def test_diamond_join_takes_cheaper_path(self, diamond_wfst):
@@ -73,16 +71,15 @@ class TestViterbiStep:
         """
         u = 0.25
         costs = [INF, u, u, u, u]
-        arena = TraceArena()
         cfg = DecodeConfig()
-        step1 = viterbi_step(diamond_wfst, [root_token(0)], costs, cfg, arena, step=0)
+        step1 = viterbi_step(diamond_wfst, [root_token(0)], costs, cfg, step=0)
         assert sorted(t.state for t in step1) == [1, 2]
-        step2 = viterbi_step(diamond_wfst, step1, costs, cfg, arena, step=1)
+        step2 = viterbi_step(diamond_wfst, step1, costs, cfg, step=1)
         assert len(step2) == 1
         join = step2[0]
         assert join.state == 3
         assert join.cost == pytest.approx(1.1 + 2 * u)
-        olabels, ilabels = backtrace(join, arena)
+        olabels, ilabels = backtrace(join, diamond_wfst)
         assert olabels == (1, 2)
         assert ilabels == (1, 2)
 
@@ -90,8 +87,7 @@ class TestViterbiStep:
         # After emitting into state 1, the epsilon arc reaches state 2.
         text = "0 1 1 1 0.5\n1 2 0 0 0.25\n2 0.0"
         w = parse_wfst_text(text)
-        arena = TraceArena()
-        out = viterbi_step(w, [root_token(0)], [INF, 0.1], DecodeConfig(), arena)
+        out = viterbi_step(w, [root_token(0)], [INF, 0.1], DecodeConfig())
         by_state = {t.state: t for t in out}
         assert set(by_state) == {1, 2}
         assert by_state[2].cost == pytest.approx(0.85)
@@ -99,22 +95,19 @@ class TestViterbiStep:
     def test_beam_pruning_relative_to_best(self):
         text = "0 1 1 1 0.0\n0 2 2 2 5.0\n1 0.0\n2 0.0"
         w = parse_wfst_text(text)
-        arena = TraceArena()
         cfg = DecodeConfig(beam=1.0)
-        out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1], cfg, arena)
+        out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1], cfg)
         assert [t.state for t in out] == [1]
 
     def test_max_active_keeps_cheapest(self):
         text = "0 1 1 1 0.3\n0 2 2 2 0.2\n0 3 3 3 0.1\n1\n2\n3"
         w = parse_wfst_text(text)
-        arena = TraceArena()
         cfg = DecodeConfig(max_active=2)
-        out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1, 0.1], cfg, arena)
+        out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1, 0.1], cfg)
         assert [t.state for t in out] == [2, 3]
 
     def test_empty_result_signals_death(self, one_arc_wfst):
-        arena = TraceArena()
-        out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, INF], DecodeConfig(), arena)
+        out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, INF], DecodeConfig())
         assert out == []
 
 
@@ -314,26 +307,54 @@ class TestFinalTransition:
         assert best.state == 1  # both total 1.5
 
 
+def label_chain(labels):
+    """A graph with one arc per (ilabel, olabel) pair, in a line from state
+    0, and the token whose entry chain walks every arc in order."""
+    text = "".join(f"{i} {i + 1} {il} {ol} 0.0\n" for i, (il, ol) in enumerate(labels))
+    w = parse_wfst_text(text + f"{len(labels)} 0.0")
+    entry = ROOT_ENTRY
+    for ai in range(len(labels)):
+        entry = (0.0, ai, ai, entry)
+    return w, Token(len(labels), 0.0, entry)
+
+
 class TestBacktrace:
-    def test_root_only(self):
-        arena = TraceArena()
-        assert backtrace(root_token(0), arena) == ((), ())
+    def test_root_only(self, one_arc_wfst):
+        assert backtrace(root_token(0), one_arc_wfst) == ((), ())
 
     def test_epsilon_labels_dropped(self):
-        arena = TraceArena()
-        a = arena.add(ROOT_TRACE, 0, 1, 0, 0.0, 0.0)
-        b = arena.add(a, 5, 2, 1, 0.0, 0.0)
-        c = arena.add(b, 7, 0, 2, 0.0, 0.0)
-        olabels, ilabels = backtrace(Token(3, 0.0, c), arena)
+        w, tok = label_chain([(1, 0), (2, 5), (0, 7)])
+        olabels, ilabels = backtrace(tok, w)
         assert olabels == (5, 7)
         assert ilabels == (1, 2)
 
     def test_chronological_order(self):
-        arena = TraceArena()
-        a = arena.add(ROOT_TRACE, 1, 1, 0, 0.0, 0.0)
-        b = arena.add(a, 2, 2, 1, 0.0, 0.0)
-        olabels, _ = backtrace(Token(1, 0.0, b), arena)
+        w, tok = label_chain([(1, 1), (2, 2)])
+        olabels, _ = backtrace(tok, w)
         assert olabels == (1, 2)
+
+    def test_deep_chain_hashes_compares_and_frees(self):
+        """200,000 frames on a self-loop with an epsilon detour build one
+        entry chain per live token, 200,000 links deep.  Hashing, comparing
+        and printing the best token must not walk it, the backtrace walks it
+        iteratively, and dropping the tokens frees it."""
+        w = parse_wfst_text("0 0 1 1\n0 1 0 0 0.5\n1 0 0 0 0.5\n1")
+        frames = 200_000
+        costs = [INF, 0.0]
+        cfg = DecodeConfig(mode="fsd")
+        baseline = sys.getrefcount(ROOT_ENTRY)
+        live = _initial_tokens(w, cfg)
+        for step in range(frames):
+            live = viterbi_step(w, live, costs, cfg, step)
+        best, reached = final_transition(w, live)
+        assert reached and (best.state, best.cost) == (1, 0.5)
+        assert sys.getrefcount(ROOT_ENTRY) > baseline
+        assert hash(best) == hash(Token(1, 0.5, ROOT_ENTRY))
+        assert best == Token(1, 0.5, ROOT_ENTRY)
+        assert repr(best) == "Token(state=1, cost=0.5)"
+        assert backtrace(best, w) == ((1,) * frames, (1,) * frames)
+        del live, best
+        assert sys.getrefcount(ROOT_ENTRY) == baseline
 
 
 class TestPruningAndDeterminism:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from lsd_wfst.decoder import (
     DecodeConfig,
-    TraceArena,
     _prune_candidates,
     _survivors,
     decode,
@@ -149,13 +148,11 @@ class TestAggregateSurvivors:
     `_prune_candidates` take."""
 
     def test_compacts_in_state_order(self):
-        w = Wfst(10, 0, [Arc(0, 1, 1, 1, 0.0)], {})
         slots = StateSlots(10)
         slots.clear()
         for state, cost in ((7, 1.0), (2, 3.0), (5, 2.0)):
             slots.relax(state, cost, 0, 0, -1)
-        queue = _survivors(w, slots.finite_items(), [INF, 0.0], DecodeConfig(),
-                           TraceArena(), 0)
+        queue = _survivors(slots.finite_items(), DecodeConfig())
         assert [t.state for t in queue] == [2, 5, 7]
         assert [t.cost for t in queue] == [3.0, 2.0, 1.0]
 
@@ -344,15 +341,24 @@ class TestRecorderHookParity:
 
     Epsilon calls can repeat in different numbers: the serial FIFO fixpoint
     and the threaded rounds re-relax a state that improves again after it
-    relaxed a different number of times, but never a different arc."""
+    relaxed a different number of times, but never a different arc.
+    Emitting calls never repeat: each engine relaxes an (src, arc) pair at
+    most once per step, which the lattice builder relies on."""
+
+    @staticmethod
+    def _assert_emits_once(log):
+        repeats = Counter((step, src, arc) for step, src, arc, _ in log.calls["emitting"])
+        assert all(n == 1 for n in repeats.values())
 
     def _assert_same_hooks(self, w, p, cfg):
         serial = HookLog()
         want = decode(w, p, cfg, recorder=serial)
+        self._assert_emits_once(serial)
         for workers in (1, 2, 3):
             threaded = HookLog()
             assert parallel_decode(w, p, cfg, workers=workers, group_size=2,
                                    recorder=threaded) == want
+            self._assert_emits_once(threaded)
             for hook in ("begin_step", "survivors", "finish"):
                 assert threaded.calls[hook] == serial.calls[hook], hook
             assert Counter(threaded.calls["emitting"]) == Counter(serial.calls["emitting"])
