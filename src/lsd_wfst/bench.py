@@ -1,10 +1,12 @@
 """Benchmark harness: step counts, token counts, search wall time, speedups.
 
-Wall time covers the search only (graph and posterior loading excluded) and
-is reported as the median over repeats.  Step counts follow the reduction
-law directly: label-synchronous decoding performs exactly T - |U| steps for
-T frames of which |U| are blank.  The harness asserts that law before
-reporting and refuses to emit a report that violates it.
+Search wall time covers the search only (graph and posterior loading
+excluded) and is reported as the median over repeats; `lsd-wfst bench`
+reports its one timed load of symbols, graph and posteriors as
+`load_wall_time_s`.  Step counts follow the reduction law directly:
+label-synchronous decoding performs exactly T - |U| steps for T frames of
+which |U| are blank.  The harness asserts that law before reporting and
+refuses to emit a report that violates it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class BenchReport:
     config: dict
     modes: dict[str, ModeStats] = field(default_factory=dict)
     speedups: dict[str, float] = field(default_factory=dict)
+    load_wall_time_s: float | None = None
 
 
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
@@ -124,11 +127,11 @@ def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
 
 
 def report_text(report: BenchReport) -> str:
-    lines = [
-        f"frames={report.frames} blank_frames={report.blank_frames} "
-        f"repeats={report.repeats}",
-        "config: " + " ".join(f"{k}={v}" for k, v in report.config.items()),
-    ]
+    head = (f"frames={report.frames} blank_frames={report.blank_frames} "
+            f"repeats={report.repeats}")
+    if report.load_wall_time_s is not None:
+        head += f" load_wall={report.load_wall_time_s:.6f}s"
+    lines = [head, "config: " + " ".join(f"{k}={v}" for k, v in report.config.items())]
     for mode, st in report.modes.items():
         lines.append(
             f"{mode:>14}: steps={st.search_steps} tokens={st.tokens_expanded} "
@@ -153,6 +156,7 @@ def report_json(report: BenchReport) -> str:
         "frames": report.frames,
         "blank_frames": report.blank_frames,
         "repeats": report.repeats,
+        "load_wall_time_s": report.load_wall_time_s,
         "config": report.config,
         "modes": {
             mode: {

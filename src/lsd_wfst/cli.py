@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+import time
 
 from . import __version__
 from .bench import DEFAULT_MODES, StepCountViolation, report_json, report_text, run_bench
@@ -55,6 +56,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -145,11 +156,14 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    t0 = time.perf_counter()
     graph, posts, _, _ = _load_inputs(args)
+    load_s = time.perf_counter() - t0
     cfg = _config_from_args(args)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     report = run_bench(graph, posts, cfg, modes=modes, repeats=args.repeats,
                        workers=args.workers, group_size=args.group_size)
+    report.load_wall_time_s = load_s
     if args.report == "json":
         sys.stdout.write(report_json(report))
     else:
@@ -204,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode = sub.add_parser("decode", help="decode one utterance")
     _add_decode_args(p_decode)
     p_decode.add_argument("--lattice-out", help="write the (optionally pruned) lattice here")
-    p_decode.add_argument("--lattice-beam", type=float, default=8.0)
+    p_decode.add_argument("--lattice-beam", type=_nonnegative_float, default=8.0)
     p_decode.set_defaults(func=cmd_decode)
 
     p_bench = sub.add_parser("bench", help="time decoding modes on one input")
@@ -232,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser("lattice", help="prune a lattice file and print its best path")
     p_lat.add_argument("--lattice-in", required=True)
-    p_lat.add_argument("--lattice-beam", type=float, default=math.inf)
+    p_lat.add_argument("--lattice-beam", type=_nonnegative_float, default=math.inf)
     p_lat.add_argument("--lattice-out")
     p_lat.add_argument("--osyms")
     p_lat.set_defaults(func=cmd_lattice)

@@ -364,7 +364,7 @@ def prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
     prefix costs.  Split copies share a (state, step) identity; lattices
     straight from the builder keep (state, step) unique.
     """
-    if lattice_beam < 0:
+    if not lattice_beam >= 0:
         raise ValueError(f"lattice_beam must be >= 0, got {lattice_beam}")
     if lat.is_empty:
         return EMPTY_LATTICE

@@ -192,7 +192,25 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
     if len(body) != num_frames:
         raise PosteriorFormatError(
             f"header declares {num_frames} frames but body has {len(body)} rows")
-    rows = np.zeros((num_frames, num_cols), dtype=np.float64)
+    if not num_frames:
+        # np.loadtxt warns on empty input.
+        return PosteriorMatrix(np.zeros((0, num_cols)), blank_col, strict=strict)
+    # numpy's C tokenizer reads ASCII floats exactly as float() does.  A body
+    # it rejects or reads to another shape goes through the row-by-row parse,
+    # which names the bad row and is the only path that accepts what float()
+    # takes but the tokenizer does not, such as "1_0" and non-ASCII digits.
+    try:
+        rows = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (num_frames, num_cols):
+        rows = _parse_rows(body, num_cols)
+    return PosteriorMatrix(rows, blank_col, strict=strict)
+
+
+def _parse_rows(body: list[str], num_cols: int) -> np.ndarray:
+    """Row-by-row parse of the posterior text body with per-row errors."""
+    rows = np.zeros((len(body), num_cols), dtype=np.float64)
     for i, ln in enumerate(body):
         vals = ln.split()
         if len(vals) != num_cols:
@@ -202,7 +220,7 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
             rows[i] = [float(v) for v in vals]
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
-    return PosteriorMatrix(rows, blank_col, strict=strict)
+    return rows
 
 
 def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:

@@ -2,10 +2,11 @@
 
 Weights are plain floats in the negative-log (tropical) domain: path costs
 combine by addition, alternatives combine by min.  `math.inf` is the
-annihilator (no path), `0.0` the identity.  Arcs are stored in one contiguous
-array grouped by source state and sorted by (ilabel, dst); epsilon arcs
-(ilabel 0) sort first, so each state's arc range splits into an epsilon
-prefix and an emitting suffix.
+annihilator (no path), `0.0` the identity.  An `Arc` is a `NamedTuple`
+(src, dst, ilabel, olabel, weight).  Arcs are stored in one contiguous list
+sorted by (src, ilabel, dst, olabel, weight), so each state's arcs form one
+range; epsilon arcs (ilabel 0) sort first, so that range splits into an
+epsilon prefix and an emitting suffix.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, attrgetter
+from typing import NamedTuple
 
 log = logging.getLogger("lsd_wfst.wfst")
 
@@ -39,13 +43,16 @@ class SymbolError(WfstError):
     """A label token could not be resolved against a symbol table."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     src: int
     dst: int
     ilabel: int
     olabel: int
     weight: float
+
+
+# Stored arc order: grouped by source state, epsilon arcs first.
+_ARC_ORDER = attrgetter("src", "ilabel", "dst", "olabel", "weight")
 
 
 @dataclass(frozen=True)
@@ -164,37 +171,30 @@ class Wfst:
                 raise WfstError(f"final state {s} out of range")
             if math.isnan(w):
                 raise WfstError(f"final weight of state {s} is NaN")
-        for a in arcs:
-            if not (0 <= a.src < num_states and 0 <= a.dst < num_states):
-                raise WfstError(f"arc {a} references an invalid state")
-            if a.ilabel < 0 or a.olabel < 0:
-                raise WfstError(f"arc {a} has a negative label id")
 
         self.num_states = num_states
         self.start = start
-        self.arcs: list[Arc] = sorted(arcs, key=lambda a: (a.src, a.ilabel, a.dst, a.olabel, a.weight))
+        self.arcs: list[Arc] = sorted(arcs, key=_ARC_ORDER)
         self.final_weights = {s: float(w) for s, w in final_weights.items() if w != ZERO}
 
-        offsets = [0] * (num_states + 1)
-        for a in self.arcs:
-            offsets[a.src + 1] += 1
-        for s in range(num_states):
-            offsets[s + 1] += offsets[s]
-        self.arc_offsets = offsets
-
-        # Boundary between the epsilon prefix and emitting suffix per state.
-        split = list(offsets[:num_states])
-        has_eps = False
+        # One pass over the sorted arcs: validate, count arcs and epsilon
+        # arcs per state, and track the largest input label.
+        counts = [0] * num_states
+        eps_counts = [0] * num_states
         max_ilabel = 0
-        for i, a in enumerate(self.arcs):
-            il = a.ilabel
+        for src, dst, il, ol, _ in self.arcs:
+            if not (0 <= src < num_states and 0 <= dst < num_states) or il < 0 or ol < 0:
+                _reject_invalid_arc(arcs, num_states)
+            counts[src] += 1
             if il == EPSILON:
-                split[a.src] = i + 1
-                has_eps = True
+                eps_counts[src] += 1
             elif il > max_ilabel:
                 max_ilabel = il
-        self.eps_split = split
-        self.has_epsilon_arcs = has_eps
+        offsets = list(accumulate(counts, initial=0))
+        self.arc_offsets = offsets
+        # Boundary between the epsilon prefix and emitting suffix per state.
+        self.eps_split = list(map(add, offsets, eps_counts))
+        self.has_epsilon_arcs = any(eps_counts)
         self.max_ilabel = max_ilabel
 
         # Per-state arc tuples for the search loop, filled on a state's first
@@ -323,6 +323,15 @@ class Wfst:
         return "\n".join(lines) + "\n"
 
 
+def _reject_invalid_arc(arcs: list[Arc], num_states: int) -> None:
+    """Raise for the first invalid arc in input order."""
+    for a in arcs:
+        if not (0 <= a.src < num_states and 0 <= a.dst < num_states):
+            raise WfstError(f"arc {a} references an invalid state")
+        if a.ilabel < 0 or a.olabel < 0:
+            raise WfstError(f"arc {a} has a negative label id")
+
+
 def _resolve_label(token: str, table: SymbolTable | None, line_no: int) -> int:
     """Symbol-table lookup with a bare-integer fallback for table-less fixtures."""
     if table is not None:
@@ -374,30 +383,66 @@ def parse_wfst_text(text: str, isyms: SymbolTable | None = None,
             raise ParseError(f"negative weight {w} (pass allow_negative_weights to accept)", line_no)
         return w
 
+    # Label lookups bound once; without a table every token misses and falls
+    # back to its integer value, as in `_resolve_label`.
+    ilabel_of = isyms._sym_to_id.get if isyms is not None else {}.get
+    olabel_of = osyms._sym_to_id.get if osyms is not None else {}.get
+    append = arcs.append
+    new_arc = tuple.__new__  # Arc(...) without its Python-level __new__
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        n = len(fields)
+        if n == 5 or n == 4:
+            # Fast path for a well-formed arc line.  Any other line (comments,
+            # signed or non-decimal ids, ids too long for int(), unknown
+            # labels, NaN, negative or malformed weights) goes on to the
+            # checking path below, which parses it again and raises the
+            # exact error.
+            src_tok, dst_tok, il_tok, ol_tok = fields[0], fields[1], fields[2], fields[3]
+            try:
+                il = ilabel_of(il_tok)
+                if il is None and il_tok.isdecimal():
+                    il = int(il_tok)
+                ol = olabel_of(ol_tok)
+                if ol is None and ol_tok.isdecimal():
+                    ol = int(ol_tok)
+                w = float(fields[4]) if n == 5 else 0.0
+                if (w >= 0.0 and il is not None and ol is not None
+                        and src_tok.isdecimal() and dst_tok.isdecimal()):
+                    src = int(src_tok)
+                    dst = int(dst_tok)
+                    append(new_arc(Arc, (src, dst, il, ol, w)))
+                    if start is None:
+                        start = src
+                    if src > max_state:
+                        max_state = src
+                    if dst > max_state:
+                        max_state = dst
+                    continue
+            except ValueError:
+                pass
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) in (1, 2):
+        if n in (1, 2):
             s = parse_state(fields[0], line_no)
-            w = parse_weight(fields[1], line_no) if len(fields) == 2 else 0.0
+            w = parse_weight(fields[1], line_no) if n == 2 else 0.0
             finals[s] = w
             if start is None:
                 start = s
             max_state = max(max_state, s)
-        elif len(fields) in (4, 5):
+        elif n in (4, 5):
             src = parse_state(fields[0], line_no)
             dst = parse_state(fields[1], line_no)
             il = _resolve_label(fields[2], isyms, line_no)
             ol = _resolve_label(fields[3], osyms, line_no)
-            w = parse_weight(fields[4], line_no) if len(fields) == 5 else 0.0
-            arcs.append(Arc(src, dst, il, ol, w))
+            w = parse_weight(fields[4], line_no) if n == 5 else 0.0
+            append(Arc(src, dst, il, ol, w))
             if start is None:
                 start = src
             max_state = max(max_state, src, dst)
         else:
-            raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {len(fields)}", line_no)
+            raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {n}", line_no)
 
     if start is None:
         raise ParseError("no states found in transducer text")

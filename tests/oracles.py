@@ -1,9 +1,10 @@
 """Brute-force reference oracles, independent of the decoder under test.
 
-Everything here enumerates paths outright: no recombination, no pruning,
+The path oracles enumerate paths outright: no recombination, no pruning,
 no shared code with the search. Costs accumulate in path order (prefix +
 arc weight + acoustic) so a correct decoder matches them to the last bit
-on tie-free instances and within 1e-9 otherwise.
+on tie-free instances and within 1e-9 otherwise. The reference parsers at
+the end read graph and posterior text one field at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from lsd_wfst.posteriors import PosteriorMatrix
-from lsd_wfst.wfst import EPSILON, Wfst
+import numpy as np
+
+from lsd_wfst.posteriors import PosteriorFormatError, PosteriorMatrix
+from lsd_wfst.wfst import EPSILON, Arc, ParseError, SymbolError, SymbolTable, Wfst
 
 INF = math.inf
 
@@ -141,3 +144,125 @@ def assert_same_paths(actual, expected, tol: float = 1e-9) -> None:
     for (ca, la), (cb, lb) in zip(a, b):
         assert la == lb, f"label mismatch: {la} vs {lb}"
         assert abs(ca - cb) <= tol, f"cost mismatch for {la}: {ca} vs {cb}"
+
+
+# Reference parsers: the row-by-row and per-field helper-call versions of
+# `parse_wfst_text` and `posteriors._load_text`, kept so that the fast
+# ingestion paths can be checked against them for equal results and equal
+# errors.
+
+
+def reference_resolve_label(token: str, table: SymbolTable | None, line_no: int) -> int:
+    """Symbol-table lookup with a bare-integer fallback for table-less fixtures."""
+    if table is not None:
+        idx = table.find_id(token)
+        if idx is not None:
+            return idx
+    try:
+        idx = int(token)
+    except ValueError:
+        raise SymbolError(f"line {line_no}: unknown symbol {token!r}") from None
+    if idx < 0:
+        raise SymbolError(f"line {line_no}: negative label id {idx}")
+    return idx
+
+
+def reference_parse_wfst_text(text: str, isyms: SymbolTable | None = None,
+                              osyms: SymbolTable | None = None,
+                              allow_negative_weights: bool = False) -> Wfst:
+    """Parse AT&T-style transducer text.
+
+    Arc lines are "src dst ilabel olabel [weight]", final lines are
+    "state [weight]"; a missing weight means 0.0.  The first state mentioned
+    is the start state.  '#' begins a comment line and blank lines are
+    ignored.  Labels resolve through the symbol tables when given, with bare
+    non-negative integers accepted as raw ids.
+    """
+    arcs: list[Arc] = []
+    finals: dict[int, float] = {}
+    start: int | None = None
+    max_state = -1
+
+    def parse_state(tok: str, line_no: int) -> int:
+        try:
+            s = int(tok)
+        except ValueError:
+            raise ParseError(f"bad state id {tok!r}", line_no) from None
+        if s < 0:
+            raise ParseError(f"negative state id {s}", line_no)
+        return s
+
+    def parse_weight(tok: str, line_no: int) -> float:
+        try:
+            w = float(tok)
+        except ValueError:
+            raise ParseError(f"bad weight {tok!r}", line_no) from None
+        if math.isnan(w):
+            raise ParseError("weight is NaN", line_no)
+        if w < 0 and not allow_negative_weights:
+            raise ParseError(f"negative weight {w} (pass allow_negative_weights to accept)", line_no)
+        return w
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) in (1, 2):
+            s = parse_state(fields[0], line_no)
+            w = parse_weight(fields[1], line_no) if len(fields) == 2 else 0.0
+            finals[s] = w
+            if start is None:
+                start = s
+            max_state = max(max_state, s)
+        elif len(fields) in (4, 5):
+            src = parse_state(fields[0], line_no)
+            dst = parse_state(fields[1], line_no)
+            il = reference_resolve_label(fields[2], isyms, line_no)
+            ol = reference_resolve_label(fields[3], osyms, line_no)
+            w = parse_weight(fields[4], line_no) if len(fields) == 5 else 0.0
+            arcs.append(Arc(src, dst, il, ol, w))
+            if start is None:
+                start = src
+            max_state = max(max_state, src, dst)
+        else:
+            raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {len(fields)}", line_no)
+
+    if start is None:
+        raise ParseError("no states found in transducer text")
+    return Wfst(max_state + 1, start, arcs, finals)
+
+
+def reference_load_text(text: str, strict: bool) -> PosteriorMatrix:
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+             if ln and not ln.startswith("#")]
+    if not lines:
+        raise PosteriorFormatError("empty posterior text")
+    header = lines[0].split()
+    if len(header) != 3 or not header[2].startswith("blank="):
+        raise PosteriorFormatError(
+            f"bad header {lines[0]!r}; expected 'T num_cols blank=<col>'")
+    try:
+        num_frames = int(header[0])
+        num_cols = int(header[1])
+        blank_col = int(header[2][len("blank="):])
+    except ValueError:
+        raise PosteriorFormatError(f"bad header {lines[0]!r}") from None
+    if num_frames < 0 or num_cols < 1:
+        raise PosteriorFormatError(f"bad dimensions {num_frames} x {num_cols}")
+
+    body = lines[1:]
+    if len(body) != num_frames:
+        raise PosteriorFormatError(
+            f"header declares {num_frames} frames but body has {len(body)} rows")
+    rows = np.zeros((num_frames, num_cols), dtype=np.float64)
+    for i, ln in enumerate(body):
+        vals = ln.split()
+        if len(vals) != num_cols:
+            raise PosteriorFormatError(
+                f"row {i} has {len(vals)} values, expected {num_cols}")
+        try:
+            rows[i] = [float(v) for v in vals]
+        except ValueError:
+            raise PosteriorFormatError(f"row {i} has an unparseable value") from None
+    return PosteriorMatrix(rows, blank_col, strict=strict)

@@ -169,6 +169,7 @@ class TestBenchCommand:
         assert code == 0
         assert "steps=100" in out
         assert "steps=10" in out
+        assert "load_wall=" in out
 
     def test_json_report_schema(self, tmp_path, capsys):
         prefix = self._gen(tmp_path)
@@ -182,6 +183,7 @@ class TestBenchCommand:
         assert payload["schema"] == "v1"
         assert payload["frames"] == 100
         assert payload["blank_frames"] == 90
+        assert payload["load_wall_time_s"] > 0
         assert set(payload["modes"]) == {"fsd-serial", "lsd-serial", "lsd-parallel"}
         for stats in payload["modes"].values():
             assert stats["search_wall_time_s"] > 0
@@ -244,6 +246,25 @@ def test_nonpositive_workers_or_group_size_exit_2(one_arc_files, capsys, command
                  "--posts", one_arc_files["posts"], flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf", "eight"])
+def test_bad_lattice_beam_exits_2_before_decoding(tmp_path, one_arc_files, capsys,
+                                                  monkeypatch, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran with a bad --lattice-beam")
+
+    monkeypatch.setattr(cli, "_load_inputs", no_work)
+    monkeypatch.setattr(cli, "load_lattice", no_work)
+    lat_path = str(tmp_path / "out.lat")
+    for args in (["decode", "--graph", one_arc_files["graph"],
+                  "--posts", one_arc_files["posts"], "--lattice-out", lat_path],
+                 ["lattice", "--lattice-in", lat_path]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--lattice-beam", value])
+        assert exc.value.code == 2
+        assert "argument --lattice-beam:" in capsys.readouterr().err
+    assert not (tmp_path / "out.lat").exists()
 
 
 def test_version_flag(capsys):

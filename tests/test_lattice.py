@@ -167,6 +167,12 @@ class TestPruneLattice:
         assert not pruned.is_empty
         assert prune_lattice(EMPTY_LATTICE, 1.0).is_empty
 
+    @pytest.mark.parametrize("beam", [-1.0, math.nan])
+    def test_negative_or_nan_beam_rejected(self, diamond_wfst, beam):
+        _, lat = self._diamond_lattice(diamond_wfst)
+        with pytest.raises(ValueError, match="lattice_beam must be >= 0"):
+            prune_lattice(lat, beam)
+
 
 def _best_cost_through_each_arc(lat):
     """Cheapest complete path cost through each arc, by brute-force DFS."""

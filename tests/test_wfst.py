@@ -15,6 +15,7 @@ from lsd_wfst.wfst import (
     SymbolError,
     SymbolTable,
     Wfst,
+    WfstError,
     parse_wfst_text,
     validate_epsilon_acyclic,
 )
@@ -136,6 +137,22 @@ class TestOutArcs:
             visited.extend(w.out_arcs(s))
         assert len(visited) == w.num_arcs
         assert sorted(map(id, visited)) == sorted(map(id, w.arcs))
+        for s in range(w.num_states):
+            eps = sum(a.ilabel == EPSILON for a in w.out_arcs(s))
+            assert w.eps_split[s] == w.arc_offsets[s] + eps
+        assert w.has_epsilon_arcs == any(a.ilabel == EPSILON for a in w.arcs)
+        assert w.max_ilabel == max(a.ilabel for a in w.arcs)
+
+    @pytest.mark.parametrize("arcs,message", [
+        ([Arc(1, 5, 1, 1, 0.0), Arc(0, 1, -1, 1, 0.0)],
+         "arc Arc(src=1, dst=5, ilabel=1, olabel=1, weight=0.0) references an invalid state"),
+        ([Arc(1, 0, 1, -2, 0.0), Arc(-1, 0, 1, 1, 0.0)],
+         "arc Arc(src=1, dst=0, ilabel=1, olabel=-2, weight=0.0) has a negative label id"),
+    ], ids=["invalid-state", "negative-label"])
+    def test_first_invalid_arc_in_input_order_is_named(self, arcs, message):
+        with pytest.raises(WfstError) as exc:
+            Wfst(2, 0, arcs, {1: 0.0})
+        assert str(exc.value) == message
 
 
 class TestEpsilonValidation:
