@@ -80,7 +80,8 @@ def _add_decode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blank-threshold", type=float, default=0.98)
     p.add_argument("--acoustic-scale", type=float, default=1.0)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--group-size", type=_positive_int, default=32)
+    p.add_argument("--group-size", type=_positive_int, default=32,
+                   help="accepted for compatibility; does not change how --workers runs")
     p.add_argument("--strict-posteriors", action="store_true",
                    help="reject rows whose probabilities do not sum to 1")
 

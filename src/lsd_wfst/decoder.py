@@ -18,8 +18,11 @@ branch is freed once no live entry links to it.
 `_search` is the one search driver.  It owns everything around the steps:
 the graph checks, frame scoring, the start closure, search death, the
 final transition and the backtrace.  Engines differ only in the step
-function they hand it; `viterbi_step` is the serial one, and the threaded
-engine in `parallel` plugs in its own.
+function they hand it.  A step is two halves: `_emit` relaxes tokens'
+emitting arcs into a candidate dict, and `_close_and_prune` runs the
+epsilon fixpoint and the pruning on it.  `viterbi_step` calls both on one
+dict; the threaded engine in `parallel` fans `_emit` out over per-worker
+dicts, merges them, and hands the result to the same `_close_and_prune`.
 """
 
 from __future__ import annotations
@@ -148,9 +151,7 @@ def _prune_candidates(items: list[tuple], beam: float, max_active: int | None) -
 
     `items` must be ordered by state id, and the survivors keep that order.
     A candidate survives iff cost <= best + beam; max-active then keeps the
-    cheapest entries under the (cost, state id) tie-break.  The parallel
-    engine funnels its aggregated slots through this same function so both
-    engines prune identically.
+    cheapest entries under the (cost, state id) tie-break.
     """
     if not items:
         return []
@@ -168,20 +169,14 @@ def _survivors(items: list[tuple], cfg: DecodeConfig) -> list[Token]:
             for s, c, entry in _prune_candidates(items, cfg.beam, cfg.max_active)]
 
 
-def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
-                 cfg: DecodeConfig, step: int = 0, recorder=None) -> list[Token]:
-    """One search step: emit, recombine, epsilon-propagate, prune.
-
-    `costs` holds per-label acoustic costs for the consumed frame, indexed
-    by label id.  An empty return signals search death.
-    """
-    node_step = step + 1
-    if recorder is not None:
-        recorder.begin_step(node_step)
-    cand: dict[int, tuple] = {}
+def _emit(wfst: Wfst, tokens, costs: list[float], cand: dict,
+          recorder=None, node_step: int = 0) -> None:
+    """Relax the emitting arcs of every token in `tokens` (any iterable)
+    against the frame's label costs, min-recombining into `cand` under the
+    (cost, src, arc) total order."""
     get = cand.get
     cache = wfst.emitting_cache
-    for tok in live:
+    for tok in tokens:
         s = tok.state
         tcost = tok.cost
         ttrace = tok.trace
@@ -202,13 +197,32 @@ def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
                     continue
             cand[dst] = (c, s, ai, ttrace)
 
+
+def _close_and_prune(wfst: Wfst, cand: dict, cfg: DecodeConfig,
+                     recorder=None, node_step: int = 0) -> list[Token]:
+    """Epsilon-close the step's emitted candidates, prune them by beam and
+    max-active, and report the survivors to the recorder."""
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
-
     survivors = _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
     if recorder is not None:
         recorder.survivors(node_step, tuple(t.state for t in survivors))
     return survivors
+
+
+def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
+                 cfg: DecodeConfig, step: int = 0, recorder=None) -> list[Token]:
+    """One search step: emit, recombine, epsilon-propagate, prune.
+
+    `costs` holds per-label acoustic costs for the consumed frame, indexed
+    by label id.  An empty return signals search death.
+    """
+    node_step = step + 1
+    if recorder is not None:
+        recorder.begin_step(node_step)
+    cand: dict[int, tuple] = {}
+    _emit(wfst, live, costs, cand, recorder, node_step)
+    return _close_and_prune(wfst, cand, cfg, recorder, node_step)
 
 
 def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, recorder=None) -> list[Token]:

@@ -96,10 +96,12 @@ class _StepRecord:
 class LatticeRecorder:
     """Collects per-step relaxations and survivor sets during decoding.
 
-    Worker threads may append concurrently (list.append and set.add are
-    atomic under the GIL); step boundaries are driven by the decoding loop.
-    An optional consumer receives each completed step, which is how the
-    parallel engine pipelines lattice construction with decoding.
+    Under the threaded engine only `emitting` runs on worker threads, which
+    may append concurrently (list.append is atomic under the GIL); every
+    other hook, `epsilon` included, runs on the driver thread, which also
+    drives the step boundaries.  An optional consumer receives each
+    completed step, which is how the parallel engine pipelines lattice
+    construction with decoding.
     """
 
     def __init__(self, consumer=None):

@@ -178,12 +178,14 @@ class Wfst:
         self.final_weights = {s: float(w) for s, w in final_weights.items() if w != ZERO}
 
         # One pass over the sorted arcs: validate, count arcs and epsilon
-        # arcs per state, and track the largest input label.
+        # arcs per state, and track the largest input label.  `w != w` holds
+        # only for NaN; negative weights are legal here.
         counts = [0] * num_states
         eps_counts = [0] * num_states
         max_ilabel = 0
-        for src, dst, il, ol, _ in self.arcs:
-            if not (0 <= src < num_states and 0 <= dst < num_states) or il < 0 or ol < 0:
+        for src, dst, il, ol, w in self.arcs:
+            if (not (0 <= src < num_states and 0 <= dst < num_states)
+                    or il < 0 or ol < 0 or w != w):
                 _reject_invalid_arc(arcs, num_states)
             counts[src] += 1
             if il == EPSILON:
@@ -330,6 +332,8 @@ def _reject_invalid_arc(arcs: list[Arc], num_states: int) -> None:
             raise WfstError(f"arc {a} references an invalid state")
         if a.ilabel < 0 or a.olabel < 0:
             raise WfstError(f"arc {a} has a negative label id")
+        if math.isnan(a.weight):
+            raise WfstError(f"arc {a} has a NaN weight")
 
 
 def _resolve_label(token: str, table: SymbolTable | None, line_no: int) -> int:

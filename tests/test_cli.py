@@ -101,6 +101,27 @@ class TestDecodeCommand:
                  "--workers", "4", "--group-size", "2"])
         assert capsys.readouterr().out == serial_out
 
+    def test_parallel_lattice_out_matches_serial_bytes(self, tmp_path, capsys):
+        """The pipelined lattice builder behind --workers > 1 writes the
+        same file as serial decoding, on an epsilon-heavy graph."""
+        prefix = str(tmp_path / "fix")
+        assert run_cli(["gen", "--kind", "random", "--states", "20", "--arcs", "60",
+                        "--labels", "4", "--frames", "12", "--blank-fraction", "0.3",
+                        "--eps-fraction", "0.3", "--selfloops", "--seed", "3",
+                        "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        outputs = []
+        for workers in ("1", "2"):
+            lat_path = tmp_path / f"w{workers}.lat"
+            assert run_cli(["decode", "--graph", f"{prefix}.graph.txt",
+                            "--posts", f"{prefix}.post.txt", "--mode", "fsd",
+                            "--beam", "6", "--workers", workers,
+                            "--lattice-out", str(lat_path)]) == 0
+            outputs.append((capsys.readouterr().out, lat_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        lat = load_lattice(str(tmp_path / "w2.lat"))
+        assert any(lat.nodes[a.from_id].step == lat.nodes[a.to_id].step for a in lat.arcs)
+
 
 class TestGenCommand:
     def test_chain_is_linear(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Dispatcher, atomic recombination slots, and parallel/serial equivalence."""
+"""Dispatcher, the per-worker candidate merge, and parallel/serial equivalence."""
 
 import dataclasses
 import itertools
@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsd_wfst.decoder import (
+    ROOT_ENTRY,
     DecodeConfig,
+    Token,
+    _emit,
     _prune_candidates,
     _survivors,
     decode,
@@ -21,12 +24,17 @@ from lsd_wfst.decoder import (
     decode_lsd,
 )
 from lsd_wfst.fixtures import make_random_posteriors, make_random_wfst
-from lsd_wfst.lattice import LatticeRecorder, PipelinedLatticeBuilder, build_lattice
+from lsd_wfst.lattice import (
+    LatticeError,
+    LatticeRecorder,
+    PipelinedLatticeBuilder,
+    build_lattice,
+)
 from lsd_wfst.parallel import (
     ClaimLedger,
     Dispatcher,
-    StateSlots,
     WorkerPool,
+    _merge,
     parallel_decode,
 )
 from lsd_wfst.posteriors import PosteriorMatrix
@@ -84,95 +92,79 @@ class TestDispatcher:
             assert merged == list(range(1000)), f"trial {trial} lost or duplicated a claim"
 
 
-class TestRelaxAtomic:
-    def test_min_is_interleaving_invariant(self):
-        """Relaxations into state 7 from states 2, 5, and its self-loop:
-        every ordering leaves cost 3.5 owned by the 5->7 relaxation."""
-        relaxations = [(2, 20, 4.0), (5, 21, 3.5), (7, 22, 3.9)]
-        for perm in itertools.permutations(relaxations):
-            slots = StateSlots(8)
-            slots.clear()
-            for owner_state, owner_arc, cost in perm:
-                slots.relax(7, cost, owner_state, owner_arc, None)
-            entry = slots.read(7)
-            assert entry[0] == 3.5
-            assert entry[1] == 5
-            assert entry[2] == 21
+class TestMerge:
+    """Per-worker candidate dicts merge under the (cost, src, arc) total
+    order, into the entries the serial emit phase recombines."""
 
-    def test_threaded_hammering_keeps_total_order_winner(self):
-        slots = StateSlots(1)
-        slots.clear()
-        candidates = [(2, 20, 4.0), (5, 21, 3.5), (7, 22, 3.9)] * 50
+    # Relaxations into state 7 from states 2, 5 and its self-loop, spread
+    # over three workers, plus a state each worker reaches alone.
+    PARTS = [
+        {7: (4.0, 2, 20, None), 1: (1.0, 2, 19, None)},
+        {7: (3.5, 5, 21, None), 3: (2.0, 5, 23, None)},
+        {7: (3.9, 7, 22, None)},
+    ]
 
-        def worker(chunk):
-            for owner_state, owner_arc, cost in chunk:
-                slots.relax(0, cost, owner_state, owner_arc, None)
+    def test_every_permutation_gives_the_same_entries(self):
+        results = [_merge(list(perm)) for perm in itertools.permutations(self.PARTS)]
+        assert all(r == results[0] for r in results)
+        assert results[0][7] == (3.5, 5, 21, None)
+        assert sorted(results[0]) == [1, 3, 7]
 
+    def test_equal_costs_tie_break_on_src_then_arc(self):
+        for pair in ([(3, 30), (9, 31)], [(3, 31), (3, 30)]):
+            for first, second in itertools.permutations(pair):
+                merged = _merge([{0: (2.0, *first, None)}, {0: (2.0, *second, None)}])
+                assert merged[0][1:3] == min(pair)
+
+    def test_threaded_emit_keeps_total_order_winner(self):
+        """Workers emit shuffled token shares into their own dicts; the merge
+        equals one serial emit over every token."""
+        arcs = [Arc(s, 0, 1 + s % 2, 0, w) for s in range(1, 9) for w in (0.0, 0.5)]
+        arcs += [Arc(s, s, 1, 0, 1.0) for s in range(1, 9)]
+        wfst = Wfst(9, 0, arcs, {0: 0.0})
+        tokens = [Token(s, 1.0, ROOT_ENTRY) for s in range(1, 9)]
+        costs = [INF, 0.25, 0.25]
+        want: dict = {}
+        _emit(wfst, tokens, costs, want)
         rng = random.Random(0)
-        for _ in range(20):
-            slots.clear()
-            rng.shuffle(candidates)
-            chunks = [candidates[i::4] for i in range(4)]
-            threads = [threading.Thread(target=worker, args=(c,)) for c in chunks]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert slots.read(0)[:3] == (3.5, 5, 21)
-
-    def test_equal_costs_tie_break_on_owner(self):
-        for first, second in itertools.permutations([(3, 30), (9, 31)]):
-            slots = StateSlots(1)
-            slots.clear()
-            slots.relax(0, 2.0, *first, None)
-            slots.relax(0, 2.0, *second, None)
-            assert slots.read(0)[1] == 3
-
-    def test_single_relaxation_accepted(self):
-        slots = StateSlots(4)
-        slots.clear()
-        assert slots.relax(2, 1.25, 0, 7, None) is True
-        assert slots.relax(2, 1.30, 1, 8, None) is False
-
-    def test_epoch_guard_catches_stale_phase(self):
-        slots = StateSlots(4, debug_epoch=True)
-        slots.clear(epoch=3)
-        slots.relax(1, 1.0, 0, 0, None, epoch=3)
-        with pytest.raises(AssertionError):
-            slots.relax(1, 0.5, 0, 0, None, epoch=2)
+        with WorkerPool(4) as pool:
+            for _ in range(20):
+                rng.shuffle(tokens)
+                parts = [{} for _ in range(4)]
+                pool.run(lambda wid: _emit(wfst, tokens[wid::4], costs, parts[wid]))
+                assert _merge(parts) == want
+        # Eight sources tie at cost 1.25 into state 0: the lowest (src, arc) wins.
+        assert want[0][:3] == (1.25, 1, wfst.arcs.index(Arc(1, 0, 2, 0, 0.0)))
 
 
 class TestAggregateSurvivors:
-    """Occupied slots feed the serial survivor path: `finite_items` gives the
-    (state, cost, entry) triples ordered by state id that `_survivors` and
-    `_prune_candidates` take."""
+    """Merged candidates feed the serial survivor path as the (state, cost,
+    entry) triples ordered by state id that `_survivors` takes."""
+
+    @staticmethod
+    def _items(merged):
+        return [(s, merged[s][0], merged[s]) for s in sorted(merged)]
 
     def test_compacts_in_state_order(self):
-        slots = StateSlots(10)
-        slots.clear()
-        for state, cost in ((7, 1.0), (2, 3.0), (5, 2.0)):
-            slots.relax(state, cost, 0, 0, -1)
-        queue = _survivors(slots.finite_items(), DecodeConfig())
+        merged = _merge([{7: (1.0, 0, 0, None)}, {2: (3.0, 0, 0, None), 5: (2.0, 0, 0, None)}])
+        queue = _survivors(self._items(merged), DecodeConfig())
         assert [t.state for t in queue] == [2, 5, 7]
         assert [t.cost for t in queue] == [3.0, 2.0, 1.0]
 
     def test_all_empty_slots_mean_search_death(self):
-        slots = StateSlots(10)
-        slots.clear()
-        assert slots.finite_items() == []
-        assert _prune_candidates(slots.finite_items(), INF, None) == []
+        merged = _merge([{}, {}])
+        assert merged == {}
+        assert _survivors(self._items(merged), DecodeConfig()) == []
 
     def test_pruning_cut_matches_serial_rule_mid_tie(self):
-        slots = StateSlots(6)
-        slots.clear()
         items = [(0, 1.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 5.0)]
-        for state, cost in items:
-            slots.relax(state, cost, 0, 0, -1)
-        got = _prune_candidates(slots.finite_items(), 3.0, 3)
-        want = _prune_candidates([(s, c, -1) for s, c in items], 3.0, 3)
-        assert [(s, c) for s, c, _ in got] == [(s, c) for s, c, _ in want]
+        parts = [{s: (c, 0, s, None) for s, c in items[::2]},
+                 {s: (c, 0, s, None) for s, c in items[1::2]}]
+        got = _survivors(self._items(_merge(parts)), DecodeConfig(beam=3.0, max_active=3))
+        want = _prune_candidates([(s, c, None) for s, c in items], 3.0, 3)
+        assert [(t.state, t.cost) for t in got] == [(s, c) for s, c, _ in want]
         # Equal costs 2.0 at states 1,2,3: the cut keeps the lower state ids.
-        assert [s for s, _, _ in got] == [0, 1, 2]
+        assert [t.state for t in got] == [0, 1, 2]
 
 
 class TestWorkerPool:
@@ -299,7 +291,7 @@ class TestParallelDecode:
 
 
 class HookLog:
-    """Recorder that logs every hook call; worker threads call two of them."""
+    """Recorder that logs every hook call; worker threads call `emitting`."""
 
     def __init__(self):
         self.calls = {"begin_step": [], "emitting": [], "epsilon": [], "survivors": [],
@@ -339,11 +331,12 @@ class TestRecorderHookParity:
     finish in the same order, emitting calls as the same multiset and
     epsilon calls as the same set (each call carries its step).
 
-    Epsilon calls can repeat in different numbers: the serial FIFO fixpoint
-    and the threaded rounds re-relax a state that improves again after it
-    relaxed a different number of times, but never a different arc.
-    Emitting calls never repeat: each engine relaxes an (src, arc) pair at
-    most once per step, which the lattice builder relies on."""
+    Emitting calls come from worker threads in schedule order, so only
+    their multiset is fixed.  Epsilon calls come from the serial fixpoint
+    on the driver thread, so they are even the same list, which
+    `test_epsilon_calls_equal_serial_list` checks.  Emitting calls never
+    repeat: each engine relaxes an (src, arc) pair at most once per step,
+    which the lattice builder relies on."""
 
     @staticmethod
     def _assert_emits_once(log):
@@ -378,6 +371,17 @@ class TestRecorderHookParity:
             self._assert_same_hooks(w, p, DecodeConfig(mode="fsd", beam=1.5,
                                                        max_active=max_active))
 
+    @pytest.mark.parametrize("max_active", [None, 3])
+    def test_epsilon_calls_equal_serial_list(self, max_active):
+        cfg = DecodeConfig(mode="fsd", beam=1.5, max_active=max_active)
+        for w, p in _eps_heavy_instances():
+            serial = HookLog()
+            decode(w, p, cfg, recorder=serial)
+            for workers in (2, 3):
+                threaded = HookLog()
+                parallel_decode(w, p, cfg, workers=workers, recorder=threaded)
+                assert threaded.calls["epsilon"] == serial.calls["epsilon"]
+
 
 GRID = [0.0, 0.5, 1.0]
 
@@ -409,6 +413,15 @@ def tie_heavy_instances(draw):
     return wfst, posts
 
 
+def _lattice_or_error(build):
+    """The built lattice, or the message of the LatticeError it raised (an
+    epsilon cycle among one step's nodes cannot be ordered)."""
+    try:
+        return build()
+    except LatticeError as exc:
+        return str(exc)
+
+
 def _fields(result):
     """Every DecodeResult field, the cost compared bit for bit."""
     return {**dataclasses.asdict(result), "total_cost": result.total_cost.hex()}
@@ -423,4 +436,11 @@ def test_serial_parallel_and_recorder_agree(instance, mode, beam, max_active, wo
     cfg = DecodeConfig(mode=mode, beam=beam, max_active=max_active)
     serial = _fields(decode(wfst, posts, cfg))
     assert _fields(parallel_decode(wfst, posts, cfg, workers=workers, group_size=group)) == serial
-    assert _fields(decode(wfst, posts, cfg, recorder=LatticeRecorder())) == serial
+    serial_rec = LatticeRecorder()
+    assert _fields(decode(wfst, posts, cfg, recorder=serial_rec)) == serial
+    builder = PipelinedLatticeBuilder(wfst)
+    threaded_rec = LatticeRecorder(consumer=builder)
+    assert _fields(parallel_decode(wfst, posts, cfg, workers=workers, group_size=group,
+                                   recorder=threaded_rec)) == serial
+    assert (_lattice_or_error(lambda: builder.result_from(threaded_rec))
+            == _lattice_or_error(lambda: build_lattice(serial_rec, wfst)))

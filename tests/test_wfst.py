@@ -148,7 +148,9 @@ class TestOutArcs:
          "arc Arc(src=1, dst=5, ilabel=1, olabel=1, weight=0.0) references an invalid state"),
         ([Arc(1, 0, 1, -2, 0.0), Arc(-1, 0, 1, 1, 0.0)],
          "arc Arc(src=1, dst=0, ilabel=1, olabel=-2, weight=0.0) has a negative label id"),
-    ], ids=["invalid-state", "negative-label"])
+        ([Arc(1, 0, 1, 1, math.nan), Arc(0, 1, -1, 1, 0.0)],
+         "arc Arc(src=1, dst=0, ilabel=1, olabel=1, weight=nan) has a NaN weight"),
+    ], ids=["invalid-state", "negative-label", "nan-weight"])
     def test_first_invalid_arc_in_input_order_is_named(self, arcs, message):
         with pytest.raises(WfstError) as exc:
             Wfst(2, 0, arcs, {1: 0.0})
