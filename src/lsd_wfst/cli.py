@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .bench import DEFAULT_MODES, StepCountViolation, report_json, report_text, run_bench
-from .decoder import DecodeConfig, DecodeResult, decode
+from .decoder import DecodeConfig, decode
 from .fixtures import generate_fixture
 from .lattice import (
     LatticeError,
@@ -108,12 +108,13 @@ def _config_from_args(args) -> DecodeConfig:
                         acoustic_scale=args.acoustic_scale, mode=args.mode)
 
 
-def _transcript_line(result: DecodeResult, osyms: SymbolTable | None) -> str:
+def _transcript_line(olabels: tuple[int, ...], cost: float, osyms: SymbolTable | None) -> str:
+    """Output words (symbols where the table has them, else label ids) and the cost."""
     words = []
-    for lab in result.olabels:
+    for lab in olabels:
         sym = osyms.find_symbol(lab) if osyms is not None else None
         words.append(sym if sym is not None else str(lab))
-    words.append(f"{result.total_cost:.4f}")
+    words.append(f"{cost:.4f}")
     return " ".join(words)
 
 
@@ -137,7 +138,7 @@ def cmd_decode(args) -> int:
     else:
         result = decode(graph, posts, cfg, recorder=recorder)
 
-    print(_transcript_line(result, osyms))
+    print(_transcript_line(result.olabels, result.total_cost, osyms))
     if not result.reached_final:
         log.warning("no token reached a final state; reporting the best non-final token")
 
@@ -196,13 +197,7 @@ def cmd_lattice(args) -> int:
     if args.lattice_beam != math.inf:
         lat = prune_lattice(lat, args.lattice_beam)
     cost, olabels, _ = lattice_best_path(lat)
-    osyms = _load_symbols(args.osyms)
-    words = []
-    for lab in olabels:
-        sym = osyms.find_symbol(lab) if osyms is not None else None
-        words.append(sym if sym is not None else str(lab))
-    words.append(f"{cost:.4f}")
-    print(" ".join(words))
+    print(_transcript_line(olabels, cost, _load_symbols(args.osyms)))
     if args.lattice_out:
         save_lattice(lat, args.lattice_out)
     return EXIT_OK

@@ -6,15 +6,26 @@ consecutive steps while epsilon arcs stay within a step.  Decoding with a
 the per-state winner, so the built lattice holds every surviving path and
 the Viterbi path is one of them.
 
+Construction and pruning work on plain tuple node keys: (step, state) for a
+node, and (step, state, prefix cost) for a copy split off it by path-exact
+pruning, which sorts right after the node it shares (step, state) with.
+One renumbering, `_renumber`, turns keys and arcs into a `Lattice` for the
+build, for stage one of pruning and for the path-exact split alike: the
+start node first, the other nodes by ascending key, the arcs in one
+canonical order.
+
 Pruning is an exact forward-backward pass: an arc survives iff it lies on
 some complete path within `lattice_beam` of the best, and the result is
-trimmed so every node sits on a surviving path.
+trimmed so every node sits on a surviving path.  The best path is taken
+over (step, state) nodes, with split copies merged, so it reproduces the
+decoder on raw and pruned lattices alike.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -138,63 +149,51 @@ class LatticeRecorder:
 
 
 class _Accumulator:
-    """Incremental lattice assembly from per-step records."""
+    """Incremental lattice assembly from per-step records, on (step, state)
+    node keys."""
 
     def __init__(self, wfst: Wfst):
         self.wfst = wfst
-        self.node_set: set[LatticeNode] = set()
-        self.raw_arcs: list[tuple[LatticeNode, LatticeNode, int, int, float, float, int]] = []
-        self.survivors_at: dict[int, frozenset[int]] = {}
-        self._prev: frozenset[int] = frozenset()
+        self.survivors: list[frozenset[int]] = []  # per step
+        self.arcs: list[tuple] = []  # (from key, to key, ilabel, olabel, graph, acoustic, tie)
 
     def add_step(self, k: int, rec: _StepRecord) -> None:
         surv = frozenset(rec.survivors)
-        self.survivors_at[k] = surv
-        for s in rec.survivors:
-            self.node_set.add(LatticeNode(s, k))
-
         arcs = self.wfst.arcs
+        append = self.arcs.append
         if k > 0:
             # Both engines relax each (src, arc) at most once per step.
+            prev = self.survivors[k - 1]
             for src, ai, ac in rec.emit:
                 arc = arcs[ai]
-                if src in self._prev and arc.dst in surv:
-                    self.raw_arcs.append((LatticeNode(src, k - 1), LatticeNode(arc.dst, k),
-                                          arc.ilabel, arc.olabel, arc.weight, ac, ai))
+                if src in prev and arc.dst in surv:
+                    append(((k - 1, src), (k, arc.dst), arc.ilabel, arc.olabel, arc.weight, ac, ai))
         for src, ai in sorted(rec.eps):
             arc = arcs[ai]
             if src in surv and arc.dst in surv and arc.dst != src:
-                self.raw_arcs.append((LatticeNode(src, k), LatticeNode(arc.dst, k),
-                                      arc.ilabel, arc.olabel, arc.weight, 0.0, ai))
-        self._prev = surv
+                append(((k, src), (k, arc.dst), arc.ilabel, arc.olabel, arc.weight, 0.0, ai))
+        self.survivors.append(surv)
 
     def build(self, final_step: int, final_state: int, reached_final: bool) -> Lattice:
-        if not self.node_set:
+        if not self.survivors or self.wfst.start not in self.survivors[0]:
             return EMPTY_LATTICE
-        start = LatticeNode(self.wfst.start, 0)
-        finals: dict[LatticeNode, float] = {}
+        surv = self.survivors[final_step] if final_step < len(self.survivors) else ()
         if reached_final:
-            for s in self.survivors_at.get(final_step, frozenset()):
-                fw = self.wfst.final_weight(s)
-                if fw != INF:
-                    finals[LatticeNode(s, final_step)] = fw
+            weights = ((s, self.wfst.final_weight(s)) for s in surv)
+            finals = {(final_step, s): fw for s, fw in weights if fw != INF}
         else:
-            finals[LatticeNode(final_state, final_step)] = 0.0
-        lat = _assemble(self.node_set, self.raw_arcs, start, finals)
+            finals = {(final_step, final_state): 0.0} if final_state in surv else {}
+        lat = _assemble(self.arcs, (0, self.wfst.start), finals)
         if not lat.is_empty:
             _topo_order(lat)  # reject within-step epsilon cycles up front
         return lat
 
 
-def _assemble(node_set: set[LatticeNode],
-              raw_arcs: list[tuple[LatticeNode, LatticeNode, int, int, float, float, int]],
-              start: LatticeNode, finals: dict[LatticeNode, float]) -> Lattice:
-    """Trim to nodes on some start-to-final path and renumber canonically."""
-    if start not in node_set:
-        return EMPTY_LATTICE
-    fwd_adj: dict[LatticeNode, list[LatticeNode]] = {}
-    bwd_adj: dict[LatticeNode, list[LatticeNode]] = {}
-    for f, t, *_ in raw_arcs:
+def _assemble(arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> Lattice:
+    """Trim to the nodes on some start-to-final path, then renumber."""
+    fwd_adj: dict[tuple, list[tuple]] = {}
+    bwd_adj: dict[tuple, list[tuple]] = {}
+    for f, t, *_ in arcs:
         fwd_adj.setdefault(f, []).append(t)
         bwd_adj.setdefault(t, []).append(f)
 
@@ -202,37 +201,34 @@ def _assemble(node_set: set[LatticeNode],
         seen = set(seeds)
         stack = list(seeds)
         while stack:
-            n = stack.pop()
-            for m in adj.get(n, ()):
+            for m in adj.get(stack.pop(), ()):
                 if m not in seen:
                     seen.add(m)
                     stack.append(m)
         return seen
 
     fwd = reach([start], fwd_adj)
-    live_finals = {n: w for n, w in finals.items() if n in fwd and n in node_set}
+    live_finals = {k: w for k, w in finals.items() if k in fwd}
     if not live_finals:
         return EMPTY_LATTICE
-    bwd = reach(list(live_finals), bwd_adj)
-    keep = (fwd & bwd) | set(live_finals)
-    keep &= node_set | set(live_finals)
+    keep = fwd & reach(live_finals, bwd_adj)
+    return _renumber(keep, [a for a in arcs if a[0] in keep and a[1] in keep],
+                     start, live_finals)
 
-    ordered = [start] + sorted((n for n in keep if n != start),
-                               key=lambda n: (n.step, n.state))
-    ids = {n: i for i, n in enumerate(ordered)}
-    kept_arcs = [
-        LatticeArc(ids[f], ids[t], il, ol, gw, ac, tie)
-        for f, t, il, ol, gw, ac, tie in raw_arcs
-        if f in keep and t in keep and f in fwd and t in bwd
-    ]
-    kept_arcs.sort(key=lambda a: (ordered[a.from_id].step, ordered[a.from_id].state,
-                                  ordered[a.to_id].step, ordered[a.to_id].state,
-                                  a.ilabel, a.olabel, a.tie))
+
+def _renumber(keys, arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> Lattice:
+    """The lattice on node `keys`: `start` is node 0 and the other keys follow
+    in ascending order, so a split copy (step, state, prefix cost) comes
+    right after its shared (step, state) node; arcs are sorted canonically."""
+    ordered = [start] + sorted(k for k in keys if k != start)
+    ids = {k: i for i, k in enumerate(ordered)}
+    arcs = sorted(arcs, key=lambda a: (a[0][:2], a[1][:2], a[2], a[3], a[6], ids[a[0]], ids[a[1]]))
     return Lattice(
-        nodes=tuple(ordered),
-        arcs=tuple(kept_arcs),
+        nodes=tuple(LatticeNode(k[1], k[0]) for k in ordered),
+        arcs=tuple(LatticeArc(ids[f], ids[t], il, ol, gw, ac, tie)
+                   for f, t, il, ol, gw, ac, tie in arcs),
         start_id=0,
-        finals={ids[n]: w for n, w in live_finals.items()},
+        finals={i: finals[k] for i, k in enumerate(ordered) if k in finals},
     )
 
 
@@ -275,20 +271,17 @@ class PipelinedLatticeBuilder:
                 return
             try:
                 self._acc.add_step(*item)
-            except Exception as exc:  # surfaced from result()
+            except Exception as exc:  # surfaced from result_from()
                 self._error = exc
                 return
-
-    def result(self, final_step: int, final_state: int, reached_final: bool) -> Lattice:
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._acc.build(final_step, final_state, reached_final)
 
     def result_from(self, recorder: LatticeRecorder) -> Lattice:
         if recorder.final_step is None:
             raise LatticeError("decode trace is incomplete (finish was never recorded)")
-        return self.result(recorder.final_step, recorder.final_state, recorder.reached_final)
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._acc.build(recorder.final_step, recorder.final_state, recorder.reached_final)
 
 
 def _topo_order(lat: Lattice) -> list[int]:
@@ -325,31 +318,34 @@ def _topo_order(lat: Lattice) -> list[int]:
     return order
 
 
-def _forward_costs(lat: Lattice, order: list[int]) -> list[float]:
-    fw = [INF] * lat.num_nodes
+def _forward(lat: Lattice, order: list[int], out, worst: float = INF) -> list[float]:
+    """Best prefix cost per node: the minimum for `worst=INF`, the maximum
+    for `worst=-INF`; `worst` marks nodes no path reaches."""
+    better = operator.lt if worst == INF else operator.gt
+    fw = [worst] * lat.num_nodes
     fw[lat.start_id] = 0.0
-    out = lat.out_adjacency()
     for i in order:
         base = fw[i]
-        if base == INF:
+        if base == worst:
             continue
         for a in out[i]:
             c = base + a.graph_cost + a.acoustic_cost
-            if c < fw[a.to_id]:
+            if better(c, fw[a.to_id]):
                 fw[a.to_id] = c
     return fw
 
 
-def _backward_costs(lat: Lattice, order: list[int]) -> list[float]:
-    bw = [INF] * lat.num_nodes
+def _backward(lat: Lattice, order: list[int], out, worst: float = INF) -> list[float]:
+    """Best suffix cost per node, final weight included, as in `_forward`."""
+    better = operator.lt if worst == INF else operator.gt
+    bw = [worst] * lat.num_nodes
     for i, w in lat.finals.items():
         bw[i] = w
-    out = lat.out_adjacency()
     for i in reversed(order):
         best = bw[i]
         for a in out[i]:
             c = a.graph_cost + a.acoustic_cost + bw[a.to_id]
-            if c < best:
+            if better(c, best):
                 best = c
         bw[i] = best
     return bw
@@ -359,68 +355,38 @@ def prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
     """Keep exactly the paths with total cost within `lattice_beam` of the best.
 
     Stage one drops every arc and final not lying on some within-beam path,
-    using exact forward-backward min-sums, and trims.  Arc-level pruning
-    alone can still admit recombined paths above the beam (a cheap-prefix
-    arc joined to a cheap-suffix arc through a shared node), so a second
-    stage splits exactly the nodes where that can happen on their realized
-    prefix costs.  Split copies share a (state, step) identity; lattices
-    straight from the builder keep (state, step) unique.
+    using exact forward-backward min-sums, and trims, merging nodes by
+    (step, state).  Arc-level pruning alone can still admit recombined paths
+    above the beam (a cheap-prefix arc joined to a cheap-suffix arc through
+    a shared node), so a second stage splits exactly the nodes where that
+    can happen on their realized prefix costs.  Split copies share a
+    (state, step) identity; lattices straight from the builder keep
+    (state, step) unique.
     """
     if not lattice_beam >= 0:
         raise ValueError(f"lattice_beam must be >= 0, got {lattice_beam}")
     if lat.is_empty:
         return EMPTY_LATTICE
     order = _topo_order(lat)
-    fw = _forward_costs(lat, order)
-    bw = _backward_costs(lat, order)
+    out = lat.out_adjacency()
+    fw = _forward(lat, order, out)
+    bw = _backward(lat, order, out)
     best = bw[lat.start_id]
     if best == INF:
         return EMPTY_LATTICE
     cutoff = best + lattice_beam + COST_EPS
 
+    keys = [(n.step, n.state) for n in lat.nodes]
     raw = [
-        (lat.nodes[a.from_id], lat.nodes[a.to_id],
-         a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie)
+        (keys[a.from_id], keys[a.to_id], a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie)
         for a in lat.arcs
         if fw[a.from_id] + a.graph_cost + a.acoustic_cost + bw[a.to_id] <= cutoff
     ]
-    finals = {
-        lat.nodes[i]: w for i, w in lat.finals.items() if fw[i] + w <= cutoff
-    }
-    nodes = {n for f, t, *_ in raw for n in (f, t)}
-    nodes.update(finals)
-    nodes.add(lat.nodes[lat.start_id])
-    kept = _assemble(nodes, raw, lat.nodes[lat.start_id], finals)
+    finals = {keys[i]: w for i, w in lat.finals.items() if fw[i] + w <= cutoff}
+    kept = _assemble(raw, keys[lat.start_id], finals)
     if kept.is_empty:
         return kept
     return _enforce_path_soundness(kept, cutoff)
-
-
-def _extremal_costs(lat: Lattice, order: list[int], out) -> tuple[list[float], list[float]]:
-    """Maximum prefix and suffix costs per node (the lattice is trimmed, so
-    every node is both reachable and co-reachable)."""
-    NEG = -INF
-    fw_max = [NEG] * lat.num_nodes
-    fw_max[lat.start_id] = 0.0
-    for i in order:
-        base = fw_max[i]
-        if base == NEG:
-            continue
-        for a in out[i]:
-            c = base + a.graph_cost + a.acoustic_cost
-            if c > fw_max[a.to_id]:
-                fw_max[a.to_id] = c
-    bw_max = [NEG] * lat.num_nodes
-    for i, w in lat.finals.items():
-        bw_max[i] = w
-    for i in reversed(order):
-        worst = bw_max[i]
-        for a in out[i]:
-            c = a.graph_cost + a.acoustic_cost + bw_max[a.to_id]
-            if c > worst:
-                worst = c
-        bw_max[i] = worst
-    return fw_max, bw_max
 
 
 def _enforce_path_soundness(lat: Lattice, cutoff: float) -> Lattice:
@@ -430,85 +396,71 @@ def _enforce_path_soundness(lat: Lattice, cutoff: float) -> Lattice:
     suffix stays within the cutoff; safe nodes (and everything downstream of
     an entry through one) are kept as-is.  Unsafe nodes are copied per
     realized prefix cost, with continuations that cannot finish within the
-    cutoff dropped.  The result admits exactly the within-cutoff paths.
+    cutoff dropped.  The result admits exactly the within-cutoff paths, and
+    every node it reaches can finish, so it needs no trimming.
     """
     order = _topo_order(lat)
     out = lat.out_adjacency()
-    fw_max, bw_max = _extremal_costs(lat, order, out)
-    safe = [fw_max[i] + bw_max[i] <= cutoff for i in range(lat.num_nodes)]
+    fw_max = _forward(lat, order, out, -INF)
+    bw_max = _backward(lat, order, out, -INF)
+    safe = [f + b <= cutoff for f, b in zip(fw_max, bw_max)]
     if all(safe):
         return lat
-    bw_min = _backward_costs(lat, order)
+    bw_min = _backward(lat, order, out)
 
-    # Keys: (node_id, None) for shared nodes, (node_id, prefix_cost) for
-    # split copies.  Once a path enters a shared node it stays shared.
-    start_key = (lat.start_id, None if safe[lat.start_id] else 0.0)
-    keys: set = {start_key}
-    key_arcs: list[tuple] = []
-    stack = [start_key]
+    # Explore (key, node id, prefix cost) triples.  A shared node keeps its
+    # (step, state) key and no prefix cost, and once a path enters a shared
+    # node it stays shared; a split copy's key appends its prefix cost.
+    keys = [(n.step, n.state) for n in lat.nodes]
+    i = lat.start_id
+    start = (keys[i], i, None) if safe[i] else (keys[i] + (0.0,), i, 0.0)
+    seen = {start[0]}
+    arcs: list[tuple] = []
+    finals: dict[tuple, float] = {}
+    stack = [start]
     while stack:
-        key = stack.pop()
-        i, c = key
+        key, i, c = stack.pop()
+        w = lat.finals.get(i)
+        if w is not None and (c is None or c + w <= cutoff):
+            finals[key] = w
         for a in out[i]:
             j = a.to_id
-            if c is None:
-                target = (j, None)
-            else:
+            c2 = None
+            if c is not None:
                 c2 = c + a.graph_cost + a.acoustic_cost
                 if c2 + bw_min[j] > cutoff:
                     continue
-                target = (j, None) if safe[j] else (j, c2)
-            key_arcs.append((key, target, a))
-            if target not in keys:
-                keys.add(target)
-                if len(keys) > 500_000:
+                if safe[j]:
+                    c2 = None
+            target = keys[j] if c2 is None else keys[j] + (c2,)
+            arcs.append((key, target, a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie))
+            if target not in seen:
+                seen.add(target)
+                if len(seen) > 500_000:
                     raise LatticeError(
                         "path-exact pruning would expand this lattice beyond "
                         "500000 nodes; widen or disable the lattice beam")
-                stack.append(target)
-
-    key_finals: dict = {}
-    for key in keys:
-        i, c = key
-        w = lat.finals.get(i)
-        if w is None:
-            continue
-        if c is None or c + w <= cutoff:
-            key_finals[key] = w
-
-    def sort_key(key):
-        i, c = key
-        n = lat.nodes[i]
-        return (n.step, n.state, 0 if c is None else 1, c if c is not None else 0.0)
-
-    ordered = [start_key] + sorted((k for k in keys if k != start_key), key=sort_key)
-    ids = {k: idx for idx, k in enumerate(ordered)}
-    new_nodes = tuple(lat.nodes[k[0]] for k in ordered)
-    new_arcs = [
-        LatticeArc(ids[f], ids[t], a.ilabel, a.olabel,
-                   a.graph_cost, a.acoustic_cost, a.tie)
-        for f, t, a in key_arcs
-    ]
-    new_arcs.sort(key=lambda a: (new_nodes[a.from_id].step, new_nodes[a.from_id].state,
-                                 new_nodes[a.to_id].step, new_nodes[a.to_id].state,
-                                 a.ilabel, a.olabel, a.tie, a.from_id, a.to_id))
-    return Lattice(
-        nodes=new_nodes,
-        arcs=tuple(new_arcs),
-        start_id=0,
-        finals={ids[k]: w for k, w in key_finals.items()},
-    )
+                stack.append((target, j, c2))
+    return _renumber(seen, arcs, start[0], finals)
 
 
 def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """Minimum-cost start-to-final path: (cost, olabels, ilabels).
 
-    Ties resolve by (cost, predecessor state id, arc tie index) per node and
-    by lower state id at the finals, matching the decoder exactly, so the
-    result coincides with DecodeResult on lattices built from a decode.
+    Nodes sharing (step, state) are taken to be split copies of one node,
+    as in `prune_lattice`; they share their final weight, and are merged
+    back into that node first, so ties resolve by (cost, predecessor
+    state id, arc tie index) per node and by lower state id at the finals,
+    matching the decoder exactly: the result coincides with DecodeResult on
+    lattices built from a decode, pruned or not.  The best merged path is
+    within any prune's cutoff, so it is a path of the split lattice too.
     """
     if lat.is_empty:
         raise LatticeError("cannot extract a best path from an empty lattice")
+    keys = [(n.step, n.state) for n in lat.nodes]
+    lat = _renumber(set(keys), [(keys[a.from_id], keys[a.to_id], a.ilabel, a.olabel,
+                                 a.graph_cost, a.acoustic_cost, a.tie) for a in lat.arcs],
+                    keys[lat.start_id], {keys[i]: w for i, w in lat.finals.items()})
     order = _topo_order(lat)
     in_adj = lat.in_adjacency()
     dist = [INF] * lat.num_nodes

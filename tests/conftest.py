@@ -7,10 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lsd_wfst.fixtures import make_random_posteriors, make_random_wfst
 from lsd_wfst.posteriors import PosteriorMatrix
-from lsd_wfst.wfst import parse_wfst_text
+from lsd_wfst.wfst import Arc, Wfst, parse_wfst_text
 
 ONE_ARC_TEXT = "0 1 1 1 0.5\n1 0.0\n"
 
@@ -83,3 +84,41 @@ def random_instance(seed: int, *, max_states: int = 12, max_arcs: int = 30,
                             weight_grid=weight_grid)
     posts = make_random_posteriors(rng, frames, labels, blank_fraction=blank_fraction)
     return wfst, posts
+
+
+GRID = [0.0, 0.5, 1.0]
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Small graphs with about half their arcs epsilon and weights from GRID,
+    plus quantized posteriors, so that equal-cost ties are common.
+
+    Epsilon arcs that do not point to a higher state id weigh 0.5 or 1.0, so
+    every epsilon cycle is positive and decoding accepts the graph."""
+    n = draw(st.integers(2, 6))
+    labels = draw(st.integers(1, 3))
+    arcs = []
+    for _ in range(draw(st.integers(1, 14))):
+        src = draw(st.integers(0, n - 1))
+        dst = draw(st.integers(0, n - 1))
+        ilabel = 0 if draw(st.booleans()) else draw(st.integers(1, labels))
+        grid = GRID if ilabel or src < dst else GRID[1:]
+        arcs.append(Arc(src, dst, ilabel, draw(st.integers(0, 3)), draw(st.sampled_from(grid))))
+    finals = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(GRID), max_size=n))
+    wfst = Wfst(n, draw(st.integers(0, n - 1)), arcs, finals)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        counts = draw(st.lists(st.integers(0, 2), min_size=labels + 1, max_size=labels + 1)
+                      .filter(any))
+        rows.append([c / sum(counts) for c in counts])
+    posts = PosteriorMatrix(np.array(rows).reshape(len(rows), labels + 1), blank_col=0)
+    return wfst, posts
+
+
+def grid_instance(seed: int):
+    """A `random_instance` with epsilon arcs, weights from GRID and blank
+    frames: a little larger than `tie_heavy_instances`, so that path-exact
+    lattice pruning splits nodes, and split copies tie, more often."""
+    return random_instance(seed, max_states=8, max_arcs=24, max_frames=5,
+                           eps_fraction=0.4, blank_fraction=0.3, weight_grid=GRID)

@@ -3,8 +3,9 @@
 The path oracles enumerate paths outright: no recombination, no pruning,
 no shared code with the search. Costs accumulate in path order (prefix +
 arc weight + acoustic) so a correct decoder matches them to the last bit
-on tie-free instances and within 1e-9 otherwise. The reference parsers at
-the end read graph and posterior text one field at a time.
+on tie-free instances and within 1e-9 otherwise. The reference parsers
+near the end read graph and posterior text one field at a time, and the
+reference lattice core at the end builds and prunes on `LatticeNode` keys.
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lsd_wfst.lattice import (
+    COST_EPS,
+    EMPTY_LATTICE,
+    Lattice,
+    LatticeArc,
+    LatticeError,
+    LatticeNode,
+    _topo_order,
+)
 from lsd_wfst.posteriors import PosteriorFormatError, PosteriorMatrix
 from lsd_wfst.wfst import EPSILON, Arc, ParseError, SymbolError, SymbolTable, Wfst
 
@@ -266,3 +276,295 @@ def reference_load_text(text: str, strict: bool) -> PosteriorMatrix:
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
     return PosteriorMatrix(rows, blank_col, strict=strict)
+
+
+# Reference lattice core: a builder and pruner that key nodes by
+# `LatticeNode` and renumber each lattice in their own way, so that the
+# tuple-keyed core of `lattice.py` can be checked against them for
+# byte-identical lattices and equal errors.
+
+
+def reference_build_lattice(recorder, wfst: Wfst) -> Lattice:
+    """`build_lattice` over the reference accumulator."""
+    if recorder.final_step is None:
+        if not recorder.steps:
+            return EMPTY_LATTICE
+        raise LatticeError("decode trace is incomplete (finish was never recorded)")
+    acc = _Accumulator(wfst)
+    for k, rec in enumerate(recorder.steps):
+        acc.add_step(k, rec)
+    return acc.build(recorder.final_step, recorder.final_state, recorder.reached_final)
+
+
+class _Accumulator:
+    """Incremental lattice assembly from per-step records."""
+
+    def __init__(self, wfst: Wfst):
+        self.wfst = wfst
+        self.node_set: set[LatticeNode] = set()
+        self.raw_arcs: list[tuple[LatticeNode, LatticeNode, int, int, float, float, int]] = []
+        self.survivors_at: dict[int, frozenset[int]] = {}
+        self._prev: frozenset[int] = frozenset()
+
+    def add_step(self, k: int, rec: _StepRecord) -> None:
+        surv = frozenset(rec.survivors)
+        self.survivors_at[k] = surv
+        for s in rec.survivors:
+            self.node_set.add(LatticeNode(s, k))
+
+        arcs = self.wfst.arcs
+        if k > 0:
+            # Both engines relax each (src, arc) at most once per step.
+            for src, ai, ac in rec.emit:
+                arc = arcs[ai]
+                if src in self._prev and arc.dst in surv:
+                    self.raw_arcs.append((LatticeNode(src, k - 1), LatticeNode(arc.dst, k),
+                                          arc.ilabel, arc.olabel, arc.weight, ac, ai))
+        for src, ai in sorted(rec.eps):
+            arc = arcs[ai]
+            if src in surv and arc.dst in surv and arc.dst != src:
+                self.raw_arcs.append((LatticeNode(src, k), LatticeNode(arc.dst, k),
+                                      arc.ilabel, arc.olabel, arc.weight, 0.0, ai))
+        self._prev = surv
+
+    def build(self, final_step: int, final_state: int, reached_final: bool) -> Lattice:
+        if not self.node_set:
+            return EMPTY_LATTICE
+        start = LatticeNode(self.wfst.start, 0)
+        finals: dict[LatticeNode, float] = {}
+        if reached_final:
+            for s in self.survivors_at.get(final_step, frozenset()):
+                fw = self.wfst.final_weight(s)
+                if fw != INF:
+                    finals[LatticeNode(s, final_step)] = fw
+        else:
+            finals[LatticeNode(final_state, final_step)] = 0.0
+        lat = _assemble(self.node_set, self.raw_arcs, start, finals)
+        if not lat.is_empty:
+            _topo_order(lat)  # reject within-step epsilon cycles up front
+        return lat
+
+
+def _assemble(node_set: set[LatticeNode],
+              raw_arcs: list[tuple[LatticeNode, LatticeNode, int, int, float, float, int]],
+              start: LatticeNode, finals: dict[LatticeNode, float]) -> Lattice:
+    """Trim to nodes on some start-to-final path and renumber canonically."""
+    if start not in node_set:
+        return EMPTY_LATTICE
+    fwd_adj: dict[LatticeNode, list[LatticeNode]] = {}
+    bwd_adj: dict[LatticeNode, list[LatticeNode]] = {}
+    for f, t, *_ in raw_arcs:
+        fwd_adj.setdefault(f, []).append(t)
+        bwd_adj.setdefault(t, []).append(f)
+
+    def reach(seeds, adj):
+        seen = set(seeds)
+        stack = list(seeds)
+        while stack:
+            n = stack.pop()
+            for m in adj.get(n, ()):
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        return seen
+
+    fwd = reach([start], fwd_adj)
+    live_finals = {n: w for n, w in finals.items() if n in fwd and n in node_set}
+    if not live_finals:
+        return EMPTY_LATTICE
+    bwd = reach(list(live_finals), bwd_adj)
+    keep = (fwd & bwd) | set(live_finals)
+    keep &= node_set | set(live_finals)
+
+    ordered = [start] + sorted((n for n in keep if n != start),
+                               key=lambda n: (n.step, n.state))
+    ids = {n: i for i, n in enumerate(ordered)}
+    kept_arcs = [
+        LatticeArc(ids[f], ids[t], il, ol, gw, ac, tie)
+        for f, t, il, ol, gw, ac, tie in raw_arcs
+        if f in keep and t in keep and f in fwd and t in bwd
+    ]
+    kept_arcs.sort(key=lambda a: (ordered[a.from_id].step, ordered[a.from_id].state,
+                                  ordered[a.to_id].step, ordered[a.to_id].state,
+                                  a.ilabel, a.olabel, a.tie))
+    return Lattice(
+        nodes=tuple(ordered),
+        arcs=tuple(kept_arcs),
+        start_id=0,
+        finals={ids[n]: w for n, w in live_finals.items()},
+    )
+
+
+def _forward_costs(lat: Lattice, order: list[int]) -> list[float]:
+    fw = [INF] * lat.num_nodes
+    fw[lat.start_id] = 0.0
+    out = lat.out_adjacency()
+    for i in order:
+        base = fw[i]
+        if base == INF:
+            continue
+        for a in out[i]:
+            c = base + a.graph_cost + a.acoustic_cost
+            if c < fw[a.to_id]:
+                fw[a.to_id] = c
+    return fw
+
+
+def _backward_costs(lat: Lattice, order: list[int]) -> list[float]:
+    bw = [INF] * lat.num_nodes
+    for i, w in lat.finals.items():
+        bw[i] = w
+    out = lat.out_adjacency()
+    for i in reversed(order):
+        best = bw[i]
+        for a in out[i]:
+            c = a.graph_cost + a.acoustic_cost + bw[a.to_id]
+            if c < best:
+                best = c
+        bw[i] = best
+    return bw
+
+
+def reference_prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
+    """Keep exactly the paths with total cost within `lattice_beam` of the best.
+
+    Stage one drops every arc and final not lying on some within-beam path,
+    using exact forward-backward min-sums, and trims.  Arc-level pruning
+    alone can still admit recombined paths above the beam (a cheap-prefix
+    arc joined to a cheap-suffix arc through a shared node), so a second
+    stage splits exactly the nodes where that can happen on their realized
+    prefix costs.  Split copies share a (state, step) identity; lattices
+    straight from the builder keep (state, step) unique.
+    """
+    if not lattice_beam >= 0:
+        raise ValueError(f"lattice_beam must be >= 0, got {lattice_beam}")
+    if lat.is_empty:
+        return EMPTY_LATTICE
+    order = _topo_order(lat)
+    fw = _forward_costs(lat, order)
+    bw = _backward_costs(lat, order)
+    best = bw[lat.start_id]
+    if best == INF:
+        return EMPTY_LATTICE
+    cutoff = best + lattice_beam + COST_EPS
+
+    raw = [
+        (lat.nodes[a.from_id], lat.nodes[a.to_id],
+         a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie)
+        for a in lat.arcs
+        if fw[a.from_id] + a.graph_cost + a.acoustic_cost + bw[a.to_id] <= cutoff
+    ]
+    finals = {
+        lat.nodes[i]: w for i, w in lat.finals.items() if fw[i] + w <= cutoff
+    }
+    nodes = {n for f, t, *_ in raw for n in (f, t)}
+    nodes.update(finals)
+    nodes.add(lat.nodes[lat.start_id])
+    kept = _assemble(nodes, raw, lat.nodes[lat.start_id], finals)
+    if kept.is_empty:
+        return kept
+    return _enforce_path_soundness(kept, cutoff)
+
+
+def _extremal_costs(lat: Lattice, order: list[int], out) -> tuple[list[float], list[float]]:
+    """Maximum prefix and suffix costs per node (the lattice is trimmed, so
+    every node is both reachable and co-reachable)."""
+    NEG = -INF
+    fw_max = [NEG] * lat.num_nodes
+    fw_max[lat.start_id] = 0.0
+    for i in order:
+        base = fw_max[i]
+        if base == NEG:
+            continue
+        for a in out[i]:
+            c = base + a.graph_cost + a.acoustic_cost
+            if c > fw_max[a.to_id]:
+                fw_max[a.to_id] = c
+    bw_max = [NEG] * lat.num_nodes
+    for i, w in lat.finals.items():
+        bw_max[i] = w
+    for i in reversed(order):
+        worst = bw_max[i]
+        for a in out[i]:
+            c = a.graph_cost + a.acoustic_cost + bw_max[a.to_id]
+            if c > worst:
+                worst = c
+        bw_max[i] = worst
+    return fw_max, bw_max
+
+
+def _enforce_path_soundness(lat: Lattice, cutoff: float) -> Lattice:
+    """Split nodes whose prefix/suffix recombination could exceed `cutoff`.
+
+    A node is safe when even its costliest prefix joined to its costliest
+    suffix stays within the cutoff; safe nodes (and everything downstream of
+    an entry through one) are kept as-is.  Unsafe nodes are copied per
+    realized prefix cost, with continuations that cannot finish within the
+    cutoff dropped.  The result admits exactly the within-cutoff paths.
+    """
+    order = _topo_order(lat)
+    out = lat.out_adjacency()
+    fw_max, bw_max = _extremal_costs(lat, order, out)
+    safe = [fw_max[i] + bw_max[i] <= cutoff for i in range(lat.num_nodes)]
+    if all(safe):
+        return lat
+    bw_min = _backward_costs(lat, order)
+
+    # Keys: (node_id, None) for shared nodes, (node_id, prefix_cost) for
+    # split copies.  Once a path enters a shared node it stays shared.
+    start_key = (lat.start_id, None if safe[lat.start_id] else 0.0)
+    keys: set = {start_key}
+    key_arcs: list[tuple] = []
+    stack = [start_key]
+    while stack:
+        key = stack.pop()
+        i, c = key
+        for a in out[i]:
+            j = a.to_id
+            if c is None:
+                target = (j, None)
+            else:
+                c2 = c + a.graph_cost + a.acoustic_cost
+                if c2 + bw_min[j] > cutoff:
+                    continue
+                target = (j, None) if safe[j] else (j, c2)
+            key_arcs.append((key, target, a))
+            if target not in keys:
+                keys.add(target)
+                if len(keys) > 500_000:
+                    raise LatticeError(
+                        "path-exact pruning would expand this lattice beyond "
+                        "500000 nodes; widen or disable the lattice beam")
+                stack.append(target)
+
+    key_finals: dict = {}
+    for key in keys:
+        i, c = key
+        w = lat.finals.get(i)
+        if w is None:
+            continue
+        if c is None or c + w <= cutoff:
+            key_finals[key] = w
+
+    def sort_key(key):
+        i, c = key
+        n = lat.nodes[i]
+        return (n.step, n.state, 0 if c is None else 1, c if c is not None else 0.0)
+
+    ordered = [start_key] + sorted((k for k in keys if k != start_key), key=sort_key)
+    ids = {k: idx for idx, k in enumerate(ordered)}
+    new_nodes = tuple(lat.nodes[k[0]] for k in ordered)
+    new_arcs = [
+        LatticeArc(ids[f], ids[t], a.ilabel, a.olabel,
+                   a.graph_cost, a.acoustic_cost, a.tie)
+        for f, t, a in key_arcs
+    ]
+    new_arcs.sort(key=lambda a: (new_nodes[a.from_id].step, new_nodes[a.from_id].state,
+                                 new_nodes[a.to_id].step, new_nodes[a.to_id].state,
+                                 a.ilabel, a.olabel, a.tie, a.from_id, a.to_id))
+    return Lattice(
+        nodes=new_nodes,
+        arcs=tuple(new_arcs),
+        start_id=0,
+        finals={ids[k]: w for k, w in key_finals.items()},
+    )

@@ -14,6 +14,42 @@ ONE_ARC_GRAPH = "0 1 1 1 0.5\n1 0.0\n"
 ONE_ARC_POSTS = "1 2 blank=0\n0.5 0.5\n"
 SYMS = "<eps> 0\na 1\n"
 
+# FSD decode at --lattice-beam 2.5 gives a pruned lattice whose final-step
+# copies of state 4 tie on cost; the decoder outputs "1" at cost 8.1275.
+TIE_SPLIT_GRAPH = """\
+0 1 1 1 1.0
+0 2 1 2 0.0
+0 4 1 1 1.0
+0 4 2 1 0.5
+0 4 2 2 0.5
+0 0 3 0 0.0
+0 3 3 1 0.5
+0 4 3 2 0.0
+1 4 1 2 1.0
+1 1 3 0 1.0
+1 5 3 3 1.0
+2 1 1 3 1.0
+2 2 1 0 0.5
+2 4 1 2 1.0
+3 3 1 0 0.0
+3 0 3 3 1.0
+3 3 3 1 1.0
+4 2 1 1 1.0
+4 4 3 0 0.0
+4 4 3 2 1.0
+5 1 1 2 1.0
+5 0 2 3 0.5
+5 5 2 0 0.0
+5 5 3 2 0.5
+4 0.5
+"""
+TIE_SPLIT_POSTS = """\
+3 4 blank=0
+0.995 0.001666666666666668 0.001666666666666668 0.001666666666666668
+0.0061677464201056855 0.894449028221905 0.049691612678994704 0.049691612678994704
+0.01360175309340504 0.04931991234532974 0.04931991234532974 0.8877584222159355
+"""
+
 
 @pytest.fixture
 def one_arc_files(tmp_path):
@@ -255,6 +291,27 @@ class TestLatticeCommand:
 
     def test_missing_lattice_exits_2(self, capsys):
         assert run_cli(["lattice", "--lattice-in", "/nope.lat"]) == 2
+
+    def test_pruned_lattice_best_path_matches_decode(self, tmp_path, one_arc_files, capsys):
+        """Path-exact pruning splits (step, state) nodes into copies that tie
+        on cost; the best path of the saved lattice still follows the
+        decoder's tie order."""
+        graph = tmp_path / "tie.txt"
+        posts = tmp_path / "tie_posts.txt"
+        graph.write_text(TIE_SPLIT_GRAPH)
+        posts.write_text(TIE_SPLIT_POSTS)
+        lat_path = tmp_path / "tie.lat"
+        assert run_cli(["decode", "--graph", str(graph), "--posts", str(posts),
+                        "--mode", "fsd", "--lattice-out", str(lat_path),
+                        "--lattice-beam", "2.5"]) == 0
+        assert capsys.readouterr().out == "1 8.1275\n"
+        pruned = load_lattice(str(lat_path))
+        assert len({(n.step, n.state) for n in pruned.nodes}) < pruned.num_nodes
+        assert run_cli(["lattice", "--lattice-in", str(lat_path)]) == 0
+        assert capsys.readouterr().out == "1 8.1275\n"
+        assert run_cli(["lattice", "--lattice-in", str(lat_path),
+                        "--osyms", one_arc_files["syms"]]) == 0
+        assert capsys.readouterr().out == "a 8.1275\n"
 
 
 @pytest.mark.parametrize("command", ["decode", "bench"])

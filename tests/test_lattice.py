@@ -1,11 +1,12 @@
 """Lattice construction, exact pruning, best path, and text round-trips."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from lsd_wfst.decoder import DecodeConfig, decode_fsd, decode_lsd
+from lsd_wfst.decoder import DecodeConfig, decode, decode_fsd, decode_lsd
 from lsd_wfst.fixtures import make_chain, make_random_posteriors, make_random_wfst
 from lsd_wfst.lattice import (
     EMPTY_LATTICE,
@@ -19,7 +20,7 @@ from lsd_wfst.lattice import (
 )
 from lsd_wfst.wfst import parse_wfst_text
 
-from conftest import posteriors_from_rows, random_instance, uniform_posteriors
+from conftest import grid_instance, posteriors_from_rows, random_instance, uniform_posteriors
 from oracles import assert_same_paths, enumerate_lattice_paths, enumerate_paths
 
 INF = math.inf
@@ -241,6 +242,28 @@ class TestLatticeBestPath:
                 assert cost == pytest.approx(result.total_cost, abs=1e-9)
                 assert olabels == result.olabels
                 assert ilabels == result.ilabels
+
+
+def test_pruned_best_path_equals_decoder():
+    """Split copies of one (step, state) node can tie on cost; the best path
+    of a pruned lattice still equals the decoder's, cost bit for bit."""
+    for seed in range(100):
+        w, p = grid_instance(seed)
+        for mode, max_active in itertools.product(("fsd", "lsd"), (None, 3)):
+            recorder = LatticeRecorder()
+            result = decode(w, p, DecodeConfig(mode=mode, max_active=max_active),
+                            recorder=recorder)
+            try:
+                lat = build_lattice(recorder, w)
+            except LatticeError:  # an epsilon cycle kept within one step
+                continue
+            if lat.is_empty:
+                continue
+            want = (result.total_cost.hex(), result.olabels, result.ilabels)
+            for lattice_beam in (0.0, 0.75, 2.5, 8.0, INF):
+                cost, olabels, ilabels = lattice_best_path(prune_lattice(lat, lattice_beam))
+                assert (cost.hex(), olabels, ilabels) == want, (seed, mode, max_active,
+                                                               lattice_beam)
 
 
 class TestLatticeText:

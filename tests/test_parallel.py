@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsd_wfst import parallel
 from lsd_wfst.decoder import (
     ROOT_ENTRY,
     DecodeConfig,
@@ -40,7 +41,7 @@ from lsd_wfst.parallel import (
 from lsd_wfst.posteriors import PosteriorMatrix
 from lsd_wfst.wfst import Arc, Wfst
 
-from conftest import random_instance, uniform_posteriors
+from conftest import GRID, random_instance, tie_heavy_instances, uniform_posteriors
 
 INF = math.inf
 
@@ -383,36 +384,6 @@ class TestRecorderHookParity:
                 assert threaded.calls["epsilon"] == serial.calls["epsilon"]
 
 
-GRID = [0.0, 0.5, 1.0]
-
-
-@st.composite
-def tie_heavy_instances(draw):
-    """Small graphs with about half their arcs epsilon and weights from GRID,
-    plus quantized posteriors, so that equal-cost ties are common.
-
-    Epsilon arcs that do not point to a higher state id weigh 0.5 or 1.0, so
-    every epsilon cycle is positive and decoding accepts the graph."""
-    n = draw(st.integers(2, 6))
-    labels = draw(st.integers(1, 3))
-    arcs = []
-    for _ in range(draw(st.integers(1, 14))):
-        src = draw(st.integers(0, n - 1))
-        dst = draw(st.integers(0, n - 1))
-        ilabel = 0 if draw(st.booleans()) else draw(st.integers(1, labels))
-        grid = GRID if ilabel or src < dst else GRID[1:]
-        arcs.append(Arc(src, dst, ilabel, draw(st.integers(0, 3)), draw(st.sampled_from(grid))))
-    finals = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(GRID), max_size=n))
-    wfst = Wfst(n, draw(st.integers(0, n - 1)), arcs, finals)
-    rows = []
-    for _ in range(draw(st.integers(0, 4))):
-        counts = draw(st.lists(st.integers(0, 2), min_size=labels + 1, max_size=labels + 1)
-                      .filter(any))
-        rows.append([c / sum(counts) for c in counts])
-    posts = PosteriorMatrix(np.array(rows).reshape(len(rows), labels + 1), blank_col=0)
-    return wfst, posts
-
-
 def _lattice_or_error(build):
     """The built lattice, or the message of the LatticeError it raised (an
     epsilon cycle among one step's nodes cannot be ordered)."""
@@ -444,3 +415,83 @@ def test_serial_parallel_and_recorder_agree(instance, mode, beam, max_active, wo
                                    recorder=threaded_rec)) == serial
     assert (_lattice_or_error(lambda: builder.result_from(threaded_rec))
             == _lattice_or_error(lambda: build_lattice(serial_rec, wfst)))
+
+
+class RoundRobinDispatcher(Dispatcher):
+    """Hands queue index i only to worker i mod `workers`, so that every
+    step with at least two tokens spreads them over at least two workers,
+    however the threads are scheduled."""
+
+    def __init__(self, num_items, workers, claims=None):
+        super().__init__(num_items, claims)
+        self._workers = workers
+        self._next_for: dict[int, int] = {}
+
+    def claim_next(self, group_id=0):
+        # Each worker reads and writes only its own entry, so no lock.
+        idx = self._next_for.get(group_id, group_id)
+        if idx >= self._num_items:
+            return None
+        self._next_for[group_id] = idx + self._workers
+        if self._claims is not None:
+            self._claims.setdefault(group_id, []).append(idx)
+        return idx
+
+
+def _interleaved_decode(wfst, posts, cfg, workers):
+    """`parallel_decode` under the round-robin dispatcher: the result, the
+    claim ledger and the number of non-empty worker dicts per step."""
+    filled: list[int] = []
+
+    def counting_merge(parts):
+        filled.append(sum(1 for part in parts if part))
+        return _merge(parts)
+
+    ledger = ClaimLedger()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "Dispatcher",
+                   lambda n, claims=None: RoundRobinDispatcher(n, workers, claims))
+        mp.setattr(parallel, "_merge", counting_merge)
+        result = parallel_decode(wfst, posts, cfg, workers=workers, claim_ledger=ledger)
+    return result, ledger, filled
+
+
+class TestForcedInterleaving:
+    """Decode-level parity with each step's tokens split across workers.
+
+    Left to the scheduler, the first worker usually claims a whole short
+    queue before the others wake, so the merge of two non-empty dicts is
+    rarely reached from a decode."""
+
+    @staticmethod
+    def _instances():
+        for seed in range(12):
+            yield random_instance(seed + 100, max_states=40, max_arcs=120,
+                                  max_frames=10, eps_fraction=0.2)
+            rng = random.Random(seed)
+            yield (make_random_wfst(rng, num_states=16, num_arcs=60, num_labels=2,
+                                    weight_grid=GRID, eps_fraction=0.2),
+                   uniform_posteriors(5, 2))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_seeded_instances_equal_serial(self, workers):
+        filled: list[int] = []
+        for w, p in self._instances():
+            for cfg in (DecodeConfig(mode="lsd", beam=6.0, max_active=12),
+                        DecodeConfig(mode="fsd", beam=2.5, max_active=5)):
+                result, ledger, per_step = _interleaved_decode(w, p, cfg, workers)
+                assert _fields(result) == _fields(decode(w, p, cfg))
+                ledger.verify_partitions()
+                filled += per_step
+        assert max(filled) >= 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(tie_heavy_instances(), st.sampled_from(["fsd", "lsd"]),
+       st.sampled_from([INF, 1.0]), st.sampled_from([None, 2]), st.sampled_from([2, 3]))
+def test_forced_interleaving_equals_serial_on_ties(instance, mode, beam, max_active, workers):
+    wfst, posts = instance
+    cfg = DecodeConfig(mode=mode, beam=beam, max_active=max_active)
+    result, ledger, _ = _interleaved_decode(wfst, posts, cfg, workers)
+    assert _fields(result) == _fields(decode(wfst, posts, cfg))
+    ledger.verify_partitions()
