@@ -18,7 +18,6 @@ import time
 from . import __version__
 from .bench import DEFAULT_MODES, StepCountViolation, report_json, report_text, run_bench
 from .decoder import DecodeConfig, decode
-from .fixtures import generate_fixture
 from .lattice import (
     LatticeError,
     LatticeRecorder,
@@ -174,6 +173,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .fixtures import generate_fixture  # imports numpy, which decoding does not need
+
     params = {}
     for key in ("states", "arcs", "labels", "frames"):
         value = getattr(args, key)

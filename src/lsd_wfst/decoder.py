@@ -16,23 +16,27 @@ the backtrace follows it to the start state's root entry.  A pruned
 branch is freed once no live entry links to it.
 
 `_search` is the one search driver.  It owns everything around the steps:
-the graph checks, frame scoring, the start closure, search death, the
-final transition and the backtrace.  Engines differ only in the step
-function they hand it.  A step is two halves: `_emit` relaxes tokens'
-emitting arcs into a candidate dict, and `_close_and_prune` runs the
-epsilon fixpoint and the pruning on it.  `viterbi_step` calls both on one
-dict; the threaded engine in `parallel` fans `_emit` out over per-worker
-dicts, merges them, and hands the result to the same `_close_and_prune`.
+the graph checks, the start closure, search death, the final transition
+and the backtrace.  Each searched frame's label costs start unscored, and
+`_emit` scores a label the first time a relaxation reads it
+(`posteriors.FrameCosts`).  Engines differ only in the step function they
+hand it.  A step is two halves: `_emit` relaxes tokens' emitting arcs into
+a candidate dict, and `_close_and_prune` runs the epsilon fixpoint and the
+pruning on it.  `viterbi_step` calls both on one dict; the threaded engine
+in `parallel` fans `_emit` out over per-worker dicts, merges them, and
+hands the result to the same `_close_and_prune`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from operator import itemgetter
+from typing import NamedTuple
 
-from .posteriors import PosteriorMatrix, classify_blank_frames, frame_cost_table
+from .posteriors import FrameCosts, PosteriorMatrix, classify_blank_frames, frame_costs
 from .wfst import Wfst, WfstError
 
 INF = math.inf
@@ -46,18 +50,34 @@ _COST = itemgetter(1)
 _COST_STATE = itemgetter(1, 0)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One live hypothesis: a state, its accumulated cost, and its trace,
     the recombination entry it came from.
 
-    The trace is left out of equality, hashing and repr: each would walk
-    the whole entry chain, recursively.
+    A tuple, so the search makes one from its (state, cost, entry) pruning
+    candidate with a single `tuple.__new__`.  The trace is left out of
+    equality, hashing and repr: each would walk the whole entry chain,
+    recursively.
     """
 
     state: int
     cost: float
-    trace: tuple = field(compare=False, repr=False)
+    trace: tuple
+
+    def __eq__(self, other):
+        return other.__class__ is Token and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"Token(state={self[0]!r}, cost={self[1]!r})"
+
+
+_token = partial(tuple.__new__, Token)
 
 
 @dataclass
@@ -165,15 +185,21 @@ def _prune_candidates(items: list[tuple], beam: float, max_active: int | None) -
 def _survivors(items: list[tuple], cfg: DecodeConfig) -> list[Token]:
     """Prune the step's (state, cost, entry) candidates, ordered by state id;
     each survivor's trace is its entry."""
-    return [Token(s, c, entry)
-            for s, c, entry in _prune_candidates(items, cfg.beam, cfg.max_active)]
+    return list(map(_token, _prune_candidates(items, cfg.beam, cfg.max_active)))
 
 
-def _emit(wfst: Wfst, tokens, costs: list[float], cand: dict,
+def _emit(wfst: Wfst, tokens, costs, cand: dict,
           recorder=None, node_step: int = 0) -> None:
     """Relax the emitting arcs of every token in `tokens` (any iterable)
     against the frame's label costs, min-recombining into `cand` under the
-    (cost, src, arc) total order."""
+    (cost, src, arc) total order.
+
+    `costs` is a list indexed by label id or a `FrameCosts` row, whose
+    cells are scored the first time a relaxation reads them.
+    """
+    score = None
+    if costs.__class__ is FrameCosts:
+        costs, score = costs.costs, costs.score
     get = cand.get
     cache = wfst.emitting_cache
     for tok in tokens:
@@ -185,6 +211,8 @@ def _emit(wfst: Wfst, tokens, costs: list[float], cand: dict,
             arcs = wfst.emitting_arcs(s)
         for ai, dst, il, weight in arcs:
             ac = costs[il]
+            if ac is None:
+                ac = score(il)
             if ac == INF:
                 continue
             c = tcost + weight + ac
@@ -210,7 +238,7 @@ def _close_and_prune(wfst: Wfst, cand: dict, cfg: DecodeConfig,
     return survivors
 
 
-def viterbi_step(wfst: Wfst, live: list[Token], costs: list[float],
+def viterbi_step(wfst: Wfst, live: list[Token], costs,
                  cfg: DecodeConfig, step: int = 0, recorder=None) -> list[Token]:
     """One search step: emit, recombine, epsilon-propagate, prune.
 
@@ -300,13 +328,13 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
             f"states {list(cycle.states)}; non-emitting propagation would not terminate")
     _check_compatible(wfst, posts)
 
-    table = frame_cost_table(posts, frames, cfg.acoustic_scale)
+    rows = frame_costs(posts, frames, cfg.acoustic_scale)
     live = _initial_tokens(wfst, cfg, recorder)
     expanded = 0
     steps_run = 0
     died_at: int | None = None
 
-    for s, costs in enumerate(table):
+    for s, costs in enumerate(rows):
         expanded += len(live)
         nxt = step(wfst, live, costs, cfg, s, recorder)
         steps_run += 1

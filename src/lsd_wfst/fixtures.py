@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .posteriors import PosteriorMatrix, save_posteriors
 from .wfst import Arc, SymbolTable, Wfst
 
@@ -133,6 +131,7 @@ def make_random_posteriors(rng: random.Random, num_frames: int, num_labels: int,
     if not 0 <= blank_col < num_cols:
         raise ValueError(f"blank_col {blank_col} out of range for {num_cols} columns")
     label_cols = [c for c in range(num_cols) if c != blank_col]
+    import numpy as np  # only generators need numpy; decoding does not
 
     n_blank = round(blank_fraction * num_frames)
     blank_frames = set(rng.sample(range(num_frames), n_blank)) if n_blank else set()

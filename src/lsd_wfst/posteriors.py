@@ -3,7 +3,12 @@
 The matrix stands in for frame-wise acoustic model output: T rows of
 probabilities over L'+1 columns (one blank column plus the non-blank label
 alphabet).  Files store probabilities; costs are derived on demand as
--scale * log(p).
+-scale * math.log(p).
+
+Parsing, the value checks, blank classification and scoring run in plain
+Python over one flat row-major list of floats, so a decode never imports
+numpy.  `PosteriorMatrix.rows` builds a numpy array on first access for the
+callers that ask for one.
 """
 
 from __future__ import annotations
@@ -13,14 +18,17 @@ import logging
 import math
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, compress
+from operator import not_
 
 log = logging.getLogger("lsd_wfst.posteriors")
 
 ROW_SUM_TOLERANCE = 1e-4
 BINARY_MAGIC = b"POST1"
+INF = math.inf
 
 
 class PosteriorFormatError(ValueError):
@@ -30,49 +38,62 @@ class PosteriorFormatError(ValueError):
 class PosteriorMatrix:
     """Immutable T x (L'+1) matrix of per-frame label probabilities."""
 
-    def __init__(self, rows: np.ndarray, blank_col: int, strict: bool = False):
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise PosteriorFormatError(f"expected a 2-D matrix, got shape {rows.shape}")
-        num_frames, num_labels = rows.shape
+    def __init__(self, rows, blank_col: int, strict: bool = False):
+        """`rows` is a 2-D numpy array or a sequence of equal-length rows."""
+        flat, num_frames, num_labels = _flatten(rows)
+        self._init(flat, num_frames, num_labels, blank_col, strict)
+
+    @classmethod
+    def _from_flat(cls, flat: list[float], num_frames: int, num_labels: int,
+                   blank_col: int, strict: bool = False) -> "PosteriorMatrix":
+        self = cls.__new__(cls)
+        self._init(flat, num_frames, num_labels, blank_col, strict)
+        return self
+
+    def _init(self, flat, num_frames, num_labels, blank_col, strict):
         if num_labels < 1:
             raise PosteriorFormatError("matrix needs at least the blank column")
         if not 0 <= blank_col < num_labels:
             raise PosteriorFormatError(f"blank column {blank_col} out of range [0, {num_labels})")
-        if not np.all(np.isfinite(rows)):
-            raise PosteriorFormatError("matrix contains non-finite values")
-        if rows.size and (rows.min() < 0.0 or rows.max() > 1.0 + 1e-12):
-            raise PosteriorFormatError("probabilities must lie in [0, 1]")
-        if num_frames:
-            sums = rows.sum(axis=1)
-            bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
-            if bad.any():
-                frame = int(np.argmax(bad))
-                msg = (f"row {frame} sums to {sums[frame]:.6f}, "
-                       f"outside 1 +/- {ROW_SUM_TOLERANCE}")
-                if strict:
-                    raise PosteriorFormatError(msg)
-                log.warning("%s (continuing; pass strict=True to reject)", msg)
-        rows.setflags(write=False)
-        self.rows = rows
+        _check_values(flat, num_labels, strict)
+        self._flat = flat
+        self._shape = (num_frames, num_labels)
+        self._rows = None
         self.blank_col = int(blank_col)
         # Non-blank columns in increasing order map to labels 1..L'.
         self._label_cols = [c for c in range(num_labels) if c != blank_col]
 
     @property
+    def rows(self):
+        """The matrix as a read-only float64 numpy array, built (and numpy
+        imported) on first access."""
+        if self._rows is None:
+            import numpy as np
+
+            rows = np.array(self._flat, dtype=np.float64).reshape(self._shape)
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
+
+    @property
     def num_frames(self) -> int:
-        return self.rows.shape[0]
+        return self._shape[0]
 
     @property
     def num_labels(self) -> int:
-        return self.rows.shape[1]
+        return self._shape[1]
 
     @property
     def num_nonblank_labels(self) -> int:
-        return self.rows.shape[1] - 1
+        return self._shape[1] - 1
+
+    def _row(self, frame: int) -> list[float]:
+        """A copy of one frame's row; negative frames count from the end."""
+        start = range(self._shape[0])[frame] * self._shape[1]
+        return self._flat[start:start + self._shape[1]]
 
     def blank_prob(self, frame: int) -> float:
-        return float(self.rows[frame, self.blank_col])
+        return self._row(frame)[self.blank_col]
 
     def label_column(self, label: int) -> int:
         """Matrix column of non-blank label id `label` (1-based)."""
@@ -81,36 +102,122 @@ class PosteriorMatrix:
         return self._label_cols[label - 1]
 
     def label_prob(self, frame: int, label: int) -> float:
-        return float(self.rows[frame, self.label_column(label)])
+        return self._row(frame)[self.label_column(label)]
 
     def select_frames(self, frames) -> "PosteriorMatrix":
         """New matrix keeping only `frames`, in the given order."""
-        idx = np.asarray(list(frames), dtype=np.intp)
-        return PosteriorMatrix(self.rows[idx].copy(), self.blank_col)
+        rows = [self._row(f) for f in frames]
+        return PosteriorMatrix._from_flat(list(chain.from_iterable(rows)), len(rows),
+                                          self.num_labels, self.blank_col)
+
+
+def _flatten(rows) -> tuple[list[float], int, int]:
+    """Row-major floats and (T, num_cols) of a numpy array or nested rows.
+
+    A sequence of equal-length rows of numbers is read without numpy; any
+    other input goes through `np.asarray`, which converts it as it always
+    did or raises numpy's own error, so that the shape check can name it.
+    """
+    if not hasattr(rows, "shape"):
+        try:
+            table = [[float(v) for v in row] for row in rows]
+        except (TypeError, ValueError):
+            table = []
+        if table and len(set(map(len, table))) == 1:
+            return list(chain.from_iterable(table)), len(table), len(table[0])
+        import numpy as np
+
+        rows = np.asarray(rows, dtype=np.float64)
+    shape = tuple(rows.shape)
+    if len(shape) != 2:
+        raise PosteriorFormatError(f"expected a 2-D matrix, got shape {shape}")
+    return [float(v) for v in chain.from_iterable(rows.tolist())], shape[0], shape[1]
+
+
+def _check_values(flat: list[float], num_cols: int, strict: bool) -> None:
+    """Finite values in [0, 1] and row sums within the tolerance of 1.
+
+    Rows are judged by the sum numpy's `sum(axis=1)` gives, which
+    `_pairwise_sum` reproduces bit for bit, so the rows accepted and the sum
+    a message prints do not depend on how the matrix was read.  The builtin
+    `sum` screens the rows: on a row that sums to about 1 it is within
+    `slack` of numpy's sum, so only rows past `near` need numpy's order.
+    """
+    starts = range(0, len(flat), num_cols)
+    sums = [sum(flat[i:i + num_cols]) for i in starts]
+    # A sum is finite only if all its terms are; a finite matrix whose sum
+    # overflows takes the scan.
+    if not math.isfinite(sum(sums)) and not all(map(math.isfinite, flat)):
+        raise PosteriorFormatError("matrix contains non-finite values")
+    # With no negative value, no value exceeds its row's sum, so the scan
+    # for values above 1 runs only when some row sum does.
+    slack = 1e-15 * (num_cols + 1)
+    top = 1.0 + 1e-12
+    if flat and (min(flat) < 0.0 or (max(sums) > top - slack and max(flat) > top)):
+        raise PosteriorFormatError("probabilities must lie in [0, 1]")
+    near = ROW_SUM_TOLERANCE - slack
+    if not sums or 1.0 - near <= min(sums) and max(sums) <= 1.0 + near:
+        return
+    for frame, (start, total) in enumerate(zip(starts, sums)):
+        if abs(total - 1.0) > near:
+            total = 0.0 + _pairwise_sum(flat[start:start + num_cols])
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                msg = (f"row {frame} sums to {total:.6f}, "
+                       f"outside 1 +/- {ROW_SUM_TOLERANCE}")
+                if strict:
+                    raise PosteriorFormatError(msg)
+                log.warning("%s (continuing; pass strict=True to reject)", msg)
+                return
+
+
+def _pairwise_sum(a: list[float]) -> float:
+    """numpy's pairwise summation of a contiguous float64 run: eight partial
+    sums per block of up to 128 values, halves of longer runs added."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for x in a:
+            res += x
+        return res
+    if n <= 128:
+        r = a[:8]
+        m = n - n % 8
+        for i in range(8, m, 8):
+            r = [x + y for x, y in zip(r, a[i:i + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[m:]:
+            res += x
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
 
 
 @dataclass(frozen=True)
 class BlankMask:
-    """Bitset over frames; bit u set iff frame u counts as blank."""
+    """Bitset over frames; bit u set iff frame u counts as blank.
 
-    bits: np.ndarray
+    `bits` is a tuple of bools, one per frame.
+    """
+
+    bits: tuple[bool, ...]
     threshold: float
 
     @property
     def count(self) -> int:
-        return int(self.bits.sum())
+        return sum(self.bits)
 
     def is_blank(self, frame: int) -> bool:
-        return bool(self.bits[frame])
+        return self.bits[frame]
 
     def blank_frames(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.bits)[0]]
+        return list(compress(range(len(self.bits)), self.bits))
 
     def nonblank_frames(self) -> list[int]:
-        return [int(i) for i in np.nonzero(~self.bits)[0]]
+        return list(compress(range(len(self.bits)), map(not_, self.bits)))
 
     def __len__(self) -> int:
-        return int(self.bits.shape[0])
+        return len(self.bits)
 
 
 def classify_blank_frames(p: PosteriorMatrix, threshold: float) -> BlankMask:
@@ -119,31 +226,65 @@ def classify_blank_frames(p: PosteriorMatrix, threshold: float) -> BlankMask:
     Thresholds above 1 are legal and classify nothing as blank, which makes
     label-synchronous search degenerate to the frame-synchronous baseline.
     """
-    bits = p.rows[:, p.blank_col] > threshold if p.num_frames else np.zeros(0, dtype=bool)
-    bits = np.asarray(bits, dtype=bool)
-    bits.setflags(write=False)
-    return BlankMask(bits=bits, threshold=float(threshold))
+    threshold = float(threshold)
+    blank_column = p._flat[p.blank_col::p.num_labels]
+    # threshold < x, that is x > threshold, for each frame's blank probability x.
+    return BlankMask(bits=tuple(map(threshold.__lt__, blank_column)), threshold=threshold)
+
+
+def _cost(prob: float, scale: float) -> float:
+    """-scale * log(prob); probability 0 maps to +inf."""
+    return -scale * math.log(prob) if prob > 0.0 else INF
 
 
 def acoustic_cost(p: PosteriorMatrix, frame: int, label: int, scale: float = 1.0) -> float:
     """-scale * log P(label | frame); probability 0 maps to +inf."""
-    prob = p.label_prob(frame, label)
-    if prob <= 0.0:
-        return math.inf
-    return -scale * math.log(prob)
+    return _cost(p.label_prob(frame, label), scale)
+
+
+class FrameCosts:
+    """One frame's acoustic costs by label id, scored on first read.
+
+    `costs[label]` is None until `score(label)` fills it; index 0 (epsilon)
+    is +inf.  Filling a cell is idempotent, so threads may share a row.
+    """
+
+    __slots__ = ("costs", "_row", "_cols", "_scale")
+
+    def __init__(self, costs: list, row: list[float], cols: list[int], scale: float):
+        self.costs = costs
+        self._row = row
+        self._cols = cols
+        self._scale = scale
+
+    def score(self, label: int) -> float:
+        cost = self.costs[label] = _cost(self._row[self._cols[label]], self._scale)
+        return cost
+
+
+def frame_costs(p: PosteriorMatrix, frames, scale: float = 1.0):
+    """An unscored `FrameCosts` row per frame in `frames`, made as the
+    iterator is read."""
+    # Matrix column of each label id; label 0 (epsilon) starts at +inf, unscored.
+    cols = [p.blank_col] + p._label_cols
+    unscored = [INF] + [None] * p.num_nonblank_labels
+    for frame in frames:
+        yield FrameCosts(unscored.copy(), p._row(frame), cols, scale)
 
 
 def frame_cost_table(p: PosteriorMatrix, frames: list[int],
                      scale: float = 1.0) -> list[list[float]]:
-    """Costs for all non-blank labels at each frame in `frames`, indexed by
-    label id, from one vectorized log.
+    """Costs for all labels at each frame in `frames`, indexed by label id:
+    `frame_costs` rows with every label scored.
 
     Index 0 (epsilon) is +inf; epsilon arcs are never acoustically scored.
     """
-    table = np.full((len(frames), p.num_labels), math.inf)
-    with np.errstate(divide="ignore"):
-        table[:, 1:] = -scale * np.log(p.rows[frames][:, p._label_cols])
-    return table.tolist()
+    table = []
+    for row in frame_costs(p, frames, scale):
+        for label in range(1, p.num_labels):
+            row.score(label)
+        table.append(row.costs)
+    return table
 
 
 def load_posteriors(source, strict: bool = False) -> PosteriorMatrix:
@@ -171,8 +312,7 @@ def load_posteriors(source, strict: bool = False) -> PosteriorMatrix:
 
 
 def _load_text(text: str, strict: bool) -> PosteriorMatrix:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise PosteriorFormatError("empty posterior text")
     header = lines[0].split()
@@ -192,35 +332,47 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
     if len(body) != num_frames:
         raise PosteriorFormatError(
             f"header declares {num_frames} frames but body has {len(body)} rows")
-    if not num_frames:
-        # np.loadtxt warns on empty input.
-        return PosteriorMatrix(np.zeros((0, num_cols)), blank_col, strict=strict)
-    # numpy's C tokenizer reads ASCII floats exactly as float() does.  A body
-    # it rejects or reads to another shape goes through the row-by-row parse,
-    # which names the bad row and is the only path that accepts what float()
-    # takes but the tokenizer does not, such as "1_0" and non-ASCII digits.
+    flat = _parse_body(body, num_cols)
+    return PosteriorMatrix._from_flat(flat, num_frames, num_cols, blank_col, strict)
+
+
+def _parse_body(body: list[str], num_cols: int) -> list[float]:
+    """The text body as row-major floats, from one pass over every token.
+
+    A body with a short or long row, or a value float() rejects, goes
+    through the row-by-row parse, which names the row.  Each row's tokens
+    are dropped once read: a list per row, all alive at once, would be
+    promoted by the garbage collector and bring on extra full collections.
+    """
+    widths = set()
+
+    def split(line: str) -> list[str]:
+        tokens = line.split()
+        widths.add(len(tokens))
+        return tokens
+
     try:
-        rows = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        flat = list(map(float, chain.from_iterable(map(split, body))))
     except ValueError:
-        rows = None
-    if rows is None or rows.shape != (num_frames, num_cols):
-        rows = _parse_rows(body, num_cols)
-    return PosteriorMatrix(rows, blank_col, strict=strict)
+        flat = None
+    if flat is not None and widths <= {num_cols}:
+        return flat
+    return _parse_rows(body, num_cols)
 
 
-def _parse_rows(body: list[str], num_cols: int) -> np.ndarray:
+def _parse_rows(body: list[str], num_cols: int) -> list[float]:
     """Row-by-row parse of the posterior text body with per-row errors."""
-    rows = np.zeros((len(body), num_cols), dtype=np.float64)
+    flat: list[float] = []
     for i, ln in enumerate(body):
         vals = ln.split()
         if len(vals) != num_cols:
             raise PosteriorFormatError(
                 f"row {i} has {len(vals)} values, expected {num_cols}")
         try:
-            rows[i] = [float(v) for v in vals]
+            flat += [float(v) for v in vals]
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
-    return rows
+    return flat
 
 
 def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:
@@ -232,23 +384,28 @@ def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:
     if len(data) != expected:
         raise PosteriorFormatError(
             f"binary posterior data has {len(data)} bytes, expected {expected}")
-    flat = np.frombuffer(data, dtype="<f8", offset=header_size)
-    rows = flat.reshape(num_frames, num_cols).astype(np.float64)
-    return PosteriorMatrix(rows, blank_col, strict=strict)
+    values = array("d")
+    values.frombytes(memoryview(data)[header_size:])
+    if sys.byteorder == "big":
+        values.byteswap()
+    return PosteriorMatrix._from_flat(values.tolist(), num_frames, num_cols, blank_col, strict)
 
 
 def format_posteriors_text(p: PosteriorMatrix) -> str:
     out = io.StringIO()
     out.write(f"{p.num_frames} {p.num_labels} blank={p.blank_col}\n")
-    for row in p.rows:
-        out.write(" ".join(repr(float(v)) for v in row))
+    for f in range(p.num_frames):
+        out.write(" ".join(map(repr, p._row(f))))
         out.write("\n")
     return out.getvalue()
 
 
 def format_posteriors_binary(p: PosteriorMatrix) -> bytes:
     head = BINARY_MAGIC + struct.pack("<III", p.num_frames, p.num_labels, p.blank_col)
-    return head + np.ascontiguousarray(p.rows, dtype="<f8").tobytes()
+    values = array("d", p._flat)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return head + values.tobytes()
 
 
 def save_posteriors(p: PosteriorMatrix, path: str, binary: bool = False) -> None:

@@ -4,12 +4,15 @@ The path oracles enumerate paths outright: no recombination, no pruning,
 no shared code with the search. Costs accumulate in path order (prefix +
 arc weight + acoustic) so a correct decoder matches them to the last bit
 on tie-free instances and within 1e-9 otherwise. The reference parsers
-near the end read graph and posterior text one field at a time, and the
-reference lattice core at the end builds and prunes on `LatticeNode` keys.
+near the end read graph and posterior text one field at a time, the
+reference posterior checks are the numpy ones `PosteriorMatrix` ran before
+it checked in plain Python, and the reference lattice core at the end
+builds and prunes on `LatticeNode` keys.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -276,6 +279,42 @@ def reference_load_text(text: str, strict: bool) -> PosteriorMatrix:
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
     return PosteriorMatrix(rows, blank_col, strict=strict)
+
+
+REFERENCE_ROW_SUM_TOLERANCE = 1e-4
+_posteriors_log = logging.getLogger("lsd_wfst.posteriors")
+
+
+def reference_posterior_checks(rows, blank_col: int, strict: bool = False) -> np.ndarray:
+    """The checks of the numpy `PosteriorMatrix.__init__`, verbatim: the
+    same errors, the same warning on the same logger, and the checked
+    read-only array."""
+    log = _posteriors_log
+    ROW_SUM_TOLERANCE = REFERENCE_ROW_SUM_TOLERANCE
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise PosteriorFormatError(f"expected a 2-D matrix, got shape {rows.shape}")
+    num_frames, num_labels = rows.shape
+    if num_labels < 1:
+        raise PosteriorFormatError("matrix needs at least the blank column")
+    if not 0 <= blank_col < num_labels:
+        raise PosteriorFormatError(f"blank column {blank_col} out of range [0, {num_labels})")
+    if not np.all(np.isfinite(rows)):
+        raise PosteriorFormatError("matrix contains non-finite values")
+    if rows.size and (rows.min() < 0.0 or rows.max() > 1.0 + 1e-12):
+        raise PosteriorFormatError("probabilities must lie in [0, 1]")
+    if num_frames:
+        sums = rows.sum(axis=1)
+        bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
+        if bad.any():
+            frame = int(np.argmax(bad))
+            msg = (f"row {frame} sums to {sums[frame]:.6f}, "
+                   f"outside 1 +/- {ROW_SUM_TOLERANCE}")
+            if strict:
+                raise PosteriorFormatError(msg)
+            log.warning("%s (continuing; pass strict=True to reject)", msg)
+    rows.setflags(write=False)
+    return rows
 
 
 # Reference lattice core: a builder and pruner that key nodes by
