@@ -11,9 +11,7 @@ refuses to emit a report that violates it.
 
 from __future__ import annotations
 
-import json
 import math
-import statistics
 import time
 from dataclasses import dataclass, field, replace
 
@@ -70,6 +68,8 @@ def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
               modes=DEFAULT_MODES, repeats: int = 5, workers: int = 1,
               group_size: int = 32) -> BenchReport:
     """Median-of-`repeats` search timings per mode, with invariants asserted."""
+    import statistics  # with fractions and decimal, ~6 ms that decoding does not need
+
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     num_frames = posts.num_frames
@@ -151,6 +151,8 @@ def _json_safe(value):
 
 
 def report_json(report: BenchReport) -> str:
+    import json  # imported here so that a decode process never loads it
+
     payload = {
         "schema": REPORT_SCHEMA,
         "frames": report.frames,

@@ -296,14 +296,14 @@ def backtrace(token: Token, wfst: Wfst) -> tuple[tuple[int, ...], tuple[int, ...
     """Follow the entry links to the root; non-epsilon labels in path order."""
     olabels: list[int] = []
     ilabels: list[int] = []
-    arcs = wfst.arcs
+    arc_ilabel, arc_olabel = wfst.arc_ilabel, wfst.arc_olabel
     entry = token.trace
     while entry[3] is not None:
-        arc = arcs[entry[2]]
-        if arc.olabel != 0:
-            olabels.append(arc.olabel)
-        if arc.ilabel != 0:
-            ilabels.append(arc.ilabel)
+        ai = entry[2]
+        if arc_olabel[ai] != 0:
+            olabels.append(arc_olabel[ai])
+        if arc_ilabel[ai] != 0:
+            ilabels.append(arc_ilabel[ai])
         entry = entry[3]
     olabels.reverse()
     ilabels.reverse()

@@ -159,19 +159,20 @@ class _Accumulator:
 
     def add_step(self, k: int, rec: _StepRecord) -> None:
         surv = frozenset(rec.survivors)
-        arcs = self.wfst.arcs
+        w = self.wfst
+        dst_of, ilabel, olabel, weight = w.arc_dst, w.arc_ilabel, w.arc_olabel, w.arc_weight
         append = self.arcs.append
         if k > 0:
             # Both engines relax each (src, arc) at most once per step.
             prev = self.survivors[k - 1]
             for src, ai, ac in rec.emit:
-                arc = arcs[ai]
-                if src in prev and arc.dst in surv:
-                    append(((k - 1, src), (k, arc.dst), arc.ilabel, arc.olabel, arc.weight, ac, ai))
+                dst = dst_of[ai]
+                if src in prev and dst in surv:
+                    append(((k - 1, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], ac, ai))
         for src, ai in sorted(rec.eps):
-            arc = arcs[ai]
-            if src in surv and arc.dst in surv and arc.dst != src:
-                append(((k, src), (k, arc.dst), arc.ilabel, arc.olabel, arc.weight, 0.0, ai))
+            dst = dst_of[ai]
+            if src in surv and dst in surv and dst != src:
+                append(((k, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], 0.0, ai))
         self.survivors.append(surv)
 
     def build(self, final_step: int, final_state: int, reached_final: bool) -> Lattice:

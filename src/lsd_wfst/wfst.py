@@ -1,12 +1,22 @@
-"""Tropical-semiring WFST data model, AT&T-style text parsing, and arc-indexed storage.
+"""Tropical-semiring WFST data model, AT&T-style text parsing, and columnar arc storage.
 
 Weights are plain floats in the negative-log (tropical) domain: path costs
 combine by addition, alternatives combine by min.  `math.inf` is the
-annihilator (no path), `0.0` the identity.  An `Arc` is a `NamedTuple`
-(src, dst, ilabel, olabel, weight).  Arcs are stored in one contiguous list
-sorted by (src, ilabel, dst, olabel, weight), so each state's arcs form one
-range; epsilon arcs (ilabel 0) sort first, so that range splits into an
-epsilon prefix and an emitting suffix.
+annihilator (no path), `0.0` the identity.
+
+Arcs are stored as typed columns, in the manner of OpenFst's const FSTs:
+`array('q')` for src, dst, ilabel and olabel and `array('d')` for weight,
+one entry per arc, sorted by (src, ilabel, dst, olabel, weight).  Each
+state's arcs form one range, and epsilon arcs (ilabel 0) sort first, so
+that range splits into an epsilon prefix and an emitting suffix.  The
+search reads the columns only; `Wfst.arcs`, the same arcs as `Arc`
+NamedTuples, is built on first access.  State and label ids are below
+`ID_LIMIT` (2^31, the range of OpenFst's int32 ids).
+
+`parse_wfst_text` reads the text one block of lines at a time.  A block of
+5-field arc lines is converted column by column; any other block goes
+through a line-by-line loop that checks every field and names the line of
+the first error.
 """
 
 from __future__ import annotations
@@ -14,9 +24,12 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, attrgetter
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
+from operator import add, attrgetter, le, not_
 from typing import NamedTuple
 
 log = logging.getLogger("lsd_wfst.wfst")
@@ -25,6 +38,15 @@ EPSILON = 0
 
 ZERO = math.inf  # tropical "no path"
 ONE = 0.0  # tropical path identity
+
+# State and label ids must be below this bound: OpenFst's StateId and Label
+# are int32.  It is checked before any per-state table is allocated.
+ID_LIMIT = 2 ** 31
+
+# Lines per block in `parse_wfst_text`, and the token that joins a block's
+# lines to mark where each ends.
+_BLOCK_LINES = 2048
+_LINE_END = "\0"
 
 
 class WfstError(Exception):
@@ -53,6 +75,8 @@ class Arc(NamedTuple):
 
 # Stored arc order: grouped by source state, epsilon arcs first.
 _ARC_ORDER = attrgetter("src", "ilabel", "dst", "olabel", "weight")
+
+_new_arc = partial(tuple.__new__, Arc)  # Arc(*fields) without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -85,6 +109,8 @@ class SymbolTable:
     def add(self, symbol: str, idx: int | None = None) -> int:
         if idx is None:
             idx = max(self._id_to_sym) + 1
+        if idx < 0:
+            raise SymbolError(f"negative id {idx} for symbol {symbol!r}")
         if symbol == self.EPS_SYMBOL or idx == 0:
             if not (symbol == self.EPS_SYMBOL and idx == 0):
                 raise SymbolError(f"id 0 is reserved for {self.EPS_SYMBOL!r}, got {symbol!r} = {idx}")
@@ -151,59 +177,69 @@ class SymbolTable:
 
 
 class Wfst:
-    """Immutable weighted transducer with offset-indexed arc storage.
+    """Immutable weighted transducer with columnar, offset-indexed arc storage.
 
     Safe for unlimited concurrent readers once constructed (the arc-tuple
-    caches are filled idempotently on first use).  `arcs` holds all
-    arcs grouped by source state; `arc_offsets[s] : arc_offsets[s+1]` is state
-    s's range and `eps_split[s]` is the boundary between its epsilon prefix
-    and emitting suffix.
+    caches and `arcs` are filled idempotently on first use).  Arc i is
+    (`arc_src[i]`, `arc_dst[i]`, `arc_ilabel[i]`, `arc_olabel[i]`,
+    `arc_weight[i]`), with the arcs grouped by source state;
+    `arc_offsets[s] : arc_offsets[s+1]` is state s's range and
+    `eps_split[s]` is the boundary between its epsilon prefix and emitting
+    suffix.
     """
 
     def __init__(self, num_states: int, start: int, arcs: list[Arc],
                  final_weights: dict[int, float]):
-        if num_states <= 0:
-            raise WfstError("a Wfst needs at least one state")
-        if not 0 <= start < num_states:
-            raise WfstError(f"start state {start} out of range [0, {num_states})")
-        for s, w in final_weights.items():
-            if not 0 <= s < num_states:
-                raise WfstError(f"final state {s} out of range")
-            if math.isnan(w):
-                raise WfstError(f"final weight of state {s} is NaN")
+        _check_states(num_states, start, final_weights)
+        ordered = sorted(arcs, key=_ARC_ORDER)
+        src, dst, il, ol, w = zip(*ordered) if ordered else ((),) * 5
+        # Negative weights are legal here; NaN is not.
+        if ordered and not (0 <= min(src) and max(src) < num_states
+                            and 0 <= min(dst) and max(dst) < num_states
+                            and 0 <= min(il) and max(il) < ID_LIMIT
+                            and 0 <= min(ol) and max(ol) < ID_LIMIT
+                            and not any(map(math.isnan, w))):
+            _reject_invalid_arc(arcs, num_states)
+        self._store(num_states, start, (array("q", src), array("q", dst), array("q", il),
+                                        array("q", ol), array("d", w)), final_weights)
 
+    @classmethod
+    def _from_columns(cls, num_states: int, start: int, columns: tuple,
+                      final_weights: dict[int, float]) -> "Wfst":
+        """A transducer on `columns`, which must hold valid arcs in stored order."""
+        _check_states(num_states, start, final_weights)
+        self = cls.__new__(cls)
+        self._store(num_states, start, columns, final_weights)
+        return self
+
+    def _store(self, num_states: int, start: int, columns: tuple,
+               final_weights: dict[int, float]) -> None:
         self.num_states = num_states
         self.start = start
-        self.arcs: list[Arc] = sorted(arcs, key=_ARC_ORDER)
+        self.arc_src, self.arc_dst, self.arc_ilabel, self.arc_olabel, self.arc_weight = columns
         self.final_weights = {s: float(w) for s, w in final_weights.items() if w != ZERO}
 
-        # One pass over the sorted arcs: validate, count arcs and epsilon
-        # arcs per state, and track the largest input label.  `w != w` holds
-        # only for NaN; negative weights are legal here.
-        counts = [0] * num_states
-        eps_counts = [0] * num_states
-        max_ilabel = 0
-        for src, dst, il, ol, w in self.arcs:
-            if (not (0 <= src < num_states and 0 <= dst < num_states)
-                    or il < 0 or ol < 0 or w != w):
-                _reject_invalid_arc(arcs, num_states)
-            counts[src] += 1
-            if il == EPSILON:
-                eps_counts[src] += 1
-            elif il > max_ilabel:
-                max_ilabel = il
-        offsets = list(accumulate(counts, initial=0))
+        # The arcs are grouped by source state, so a state's offset is the
+        # number of arcs whose source sorts before it.
+        src, il = self.arc_src, self.arc_ilabel
+        states = range(num_states)
+        counts = Counter(src)
+        offsets = array("q", accumulate(map(counts.get, states, repeat(0)), initial=0))
         self.arc_offsets = offsets
-        # Boundary between the epsilon prefix and emitting suffix per state.
-        self.eps_split = list(map(add, offsets, eps_counts))
-        self.has_epsilon_arcs = any(eps_counts)
-        self.max_ilabel = max_ilabel
+        self.has_epsilon_arcs = EPSILON in il
+        if self.has_epsilon_arcs:
+            eps_counts = Counter(compress(src, map(not_, il)))
+            self.eps_split = array("q", map(add, offsets, map(eps_counts.get, states, repeat(0))))
+        else:
+            self.eps_split = offsets[:num_states]
+        self.max_ilabel = max(il, default=0)
 
         # Per-state arc tuples for the search loop, filled on a state's first
         # visit: a decode touches a small share of a large graph's states.
         self.emitting_cache: list[tuple | None] = [None] * num_states
         self.epsilon_cache: list[tuple | None] = [None] * num_states
 
+        self._arcs: list[Arc] | None = None
         self._in_arcs: dict[int, tuple[Arc, ...]] | None = None
         self._eps_cycle: EpsilonCycle | None = None
         self._eps_cycle_checked = False
@@ -213,8 +249,17 @@ class Wfst:
                         "decoding will fall back to the best non-final token")
 
     @property
+    def arcs(self) -> list[Arc]:
+        """Every arc as an `Arc`, in stored order; built on first access."""
+        arcs = self._arcs
+        if arcs is None:
+            arcs = self._arcs = list(map(_new_arc, zip(
+                self.arc_src, self.arc_dst, self.arc_ilabel, self.arc_olabel, self.arc_weight)))
+        return arcs
+
+    @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.arc_src)
 
     def out_arcs(self, state: int) -> list[Arc]:
         """All arcs leaving `state`, epsilon arcs first, in stored order."""
@@ -230,9 +275,9 @@ class Wfst:
 
         Built on first use and kept in `emitting_cache[state]`.
         """
-        arcs = self.arcs
-        out = tuple((i, arcs[i].dst, arcs[i].ilabel, arcs[i].weight)
-                    for i in range(self.eps_split[state], self.arc_offsets[state + 1]))
+        lo, hi = self.eps_split[state], self.arc_offsets[state + 1]
+        out = tuple(zip(range(lo, hi), self.arc_dst[lo:hi], self.arc_ilabel[lo:hi],
+                        self.arc_weight[lo:hi]))
         self.emitting_cache[state] = out
         return out
 
@@ -242,10 +287,9 @@ class Wfst:
 
         Built on first use and kept in `epsilon_cache[state]`.
         """
-        arcs = self.arcs
-        out = tuple((i, arcs[i].dst, arcs[i].weight)
-                    for i in range(self.arc_offsets[state], self.eps_split[state])
-                    if arcs[i].dst != state)
+        lo, hi = self.arc_offsets[state], self.eps_split[state]
+        out = tuple(arc for arc in zip(range(lo, hi), self.arc_dst[lo:hi], self.arc_weight[lo:hi])
+                    if arc[1] != state)
         self.epsilon_cache[state] = out
         return out
 
@@ -325,6 +369,22 @@ class Wfst:
         return "\n".join(lines) + "\n"
 
 
+def _check_states(num_states: int, start: int, final_weights: dict[int, float]) -> None:
+    """The checks on states that come before any arc is looked at."""
+    if num_states <= 0:
+        raise WfstError("a Wfst needs at least one state")
+    if num_states > ID_LIMIT:
+        raise WfstError(f"state id {num_states - 1} is past the largest state id, "
+                        f"{ID_LIMIT - 1}")
+    if not 0 <= start < num_states:
+        raise WfstError(f"start state {start} out of range [0, {num_states})")
+    for s, w in final_weights.items():
+        if not 0 <= s < num_states:
+            raise WfstError(f"final state {s} out of range")
+        if math.isnan(w):
+            raise WfstError(f"final weight of state {s} is NaN")
+
+
 def _reject_invalid_arc(arcs: list[Arc], num_states: int) -> None:
     """Raise for the first invalid arc in input order."""
     for a in arcs:
@@ -332,6 +392,8 @@ def _reject_invalid_arc(arcs: list[Arc], num_states: int) -> None:
             raise WfstError(f"arc {a} references an invalid state")
         if a.ilabel < 0 or a.olabel < 0:
             raise WfstError(f"arc {a} has a negative label id")
+        if a.ilabel >= ID_LIMIT or a.olabel >= ID_LIMIT:
+            raise WfstError(f"arc {a} has a label id past the largest label id, {ID_LIMIT - 1}")
         if math.isnan(a.weight):
             raise WfstError(f"arc {a} has a NaN weight")
 
@@ -360,97 +422,221 @@ def parse_wfst_text(text: str, isyms: SymbolTable | None = None,
     "state [weight]"; a missing weight means 0.0.  The first state mentioned
     is the start state.  '#' begins a comment line and blank lines are
     ignored.  Labels resolve through the symbol tables when given, with bare
-    non-negative integers accepted as raw ids.
+    non-negative integers accepted as raw ids.  State and label ids must be
+    below `ID_LIMIT`.
     """
-    arcs: list[Arc] = []
-    finals: dict[int, float] = {}
-    start: int | None = None
-    max_state = -1
+    reader = _GraphReader(isyms, osyms, allow_negative_weights)
+    lines = text.splitlines()
+    by_block = _LINE_END not in text
+    for first in range(0, len(lines), _BLOCK_LINES):
+        block = lines[first:first + _BLOCK_LINES]
+        if not (by_block and reader.arc_block(block)):
+            reader.read_lines(block, first + 1)
+    return reader.finish()
 
-    def parse_state(tok: str, line_no: int) -> int:
+
+class _GraphReader:
+    """Arc columns, final weights and the start state of AT&T text, read one
+    block of lines at a time."""
+
+    def __init__(self, isyms: SymbolTable | None, osyms: SymbolTable | None,
+                 allow_negative_weights: bool):
+        self.isyms = isyms
+        self.osyms = osyms
+        self.allow_negative_weights = allow_negative_weights
+        self.columns = (array("q"), array("q"), array("q"), array("q"), array("d"))
+        self.finals: dict[int, float] = {}
+        self.start: int | None = None
+        self.max_state = -1
+        # The first arc with an id the columns do not hold (>= ID_LIMIT); it
+        # makes the text an error unless a later line fails to parse.
+        self.oversized: Arc | None = None
+        # Label token -> id, for the tokens arc blocks have read.
+        self.ilabel_ids: dict[str, int] = {}
+        self.olabel_ids: dict[str, int] = {}
+        # Whether the columns are in stored order, and the stored-order key
+        # (src, ilabel, dst, olabel, weight) of their last arc; (-1,) sorts
+        # before every key.
+        self.in_order = True
+        self.last_key: tuple = (-1,)
+
+    def arc_block(self, block: list[str]) -> bool:
+        """Append a block of 5-field arc lines to the columns, column by column.
+
+        Returns False, having appended nothing, if any line needs the
+        checking loop: a line that is not 5 fields, a signed, non-decimal
+        or oversized id, an unknown label, or a weight that is NaN,
+        malformed or (unless allowed) negative.
+        """
+        n = len(block)
+        # No line holds a line-end token of its own (`parse_wfst_text` reads
+        # text that has one line by line), so line i's fields are
+        # tokens[6i : 6i+5] iff every inserted line-end sits at 6i+5.
+        tokens = f" {_LINE_END} ".join(block).split()
+        if len(tokens) != 6 * n - 1 or tokens[5::6].count(_LINE_END) != n - 1:
+            return False
+        src_tokens, dst_tokens = tokens[0::6], tokens[1::6]
+        if not ("".join(src_tokens).isdecimal() and "".join(dst_tokens).isdecimal()):
+            return False
+        il = _label_ids(tokens[2::6], self.isyms, self.ilabel_ids)
+        ol = _label_ids(tokens[3::6], self.osyms, self.olabel_ids)
+        if il is None or ol is None:
+            return False
         try:
-            s = int(tok)
+            src = list(map(int, src_tokens))  # ValueError past int()'s digit limit
+            dst = list(map(int, dst_tokens))
+            w = list(map(float, tokens[4::6]))
         except ValueError:
-            raise ParseError(f"bad state id {tok!r}", line_no) from None
-        if s < 0:
-            raise ParseError(f"negative state id {s}", line_no)
-        return s
+            return False
+        top = max(max(src), max(dst))
+        if top >= ID_LIMIT:
+            return False
+        total = sum(w)  # NaN iff some weight is NaN, or both infinities occur
+        if total != total or (min(w) < 0.0 and not self.allow_negative_weights):
+            return False
+        for column, values in zip(self.columns, (src, dst, il, ol, w)):
+            column.fromlist(values)
+        if self.in_order:
+            keys = zip(src, il, dst, ol, w)
+            previous = chain((self.last_key,), zip(src, il, dst, ol, w))
+            self.in_order = all(map(le, previous, keys))
+        self.last_key = (src[-1], il[-1], dst[-1], ol[-1], w[-1])
+        if self.start is None:
+            self.start = src[0]
+        self.max_state = max(self.max_state, top)
+        return True
 
-    def parse_weight(tok: str, line_no: int) -> float:
-        try:
-            w = float(tok)
-        except ValueError:
-            raise ParseError(f"bad weight {tok!r}", line_no) from None
-        if math.isnan(w):
-            raise ParseError("weight is NaN", line_no)
-        if w < 0 and not allow_negative_weights:
-            raise ParseError(f"negative weight {w} (pass allow_negative_weights to accept)", line_no)
-        return w
+    def read_lines(self, block: list[str], first_line_no: int) -> None:
+        """Read a block line by line, raising the exact error of the first bad line."""
+        isyms, osyms = self.isyms, self.osyms
+        allow_negative_weights = self.allow_negative_weights
+        finals = self.finals
+        start, max_state = self.start, self.max_state
+        in_order, last_key = self.in_order, self.last_key
+        src_col, dst_col, il_col, ol_col, w_col = self.columns
 
-    # Label lookups bound once; without a table every token misses and falls
-    # back to its integer value, as in `_resolve_label`.
-    ilabel_of = isyms._sym_to_id.get if isyms is not None else {}.get
-    olabel_of = osyms._sym_to_id.get if osyms is not None else {}.get
-    append = arcs.append
-    new_arc = tuple.__new__  # Arc(...) without its Python-level __new__
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        n = len(fields)
-        if n == 5 or n == 4:
-            # Fast path for a well-formed arc line.  Any other line (comments,
-            # signed or non-decimal ids, ids too long for int(), unknown
-            # labels, NaN, negative or malformed weights) goes on to the
-            # checking path below, which parses it again and raises the
-            # exact error.
-            src_tok, dst_tok, il_tok, ol_tok = fields[0], fields[1], fields[2], fields[3]
+        def parse_state(tok: str, line_no: int) -> int:
             try:
-                il = ilabel_of(il_tok)
-                if il is None and il_tok.isdecimal():
-                    il = int(il_tok)
-                ol = olabel_of(ol_tok)
-                if ol is None and ol_tok.isdecimal():
-                    ol = int(ol_tok)
-                w = float(fields[4]) if n == 5 else 0.0
-                if (w >= 0.0 and il is not None and ol is not None
-                        and src_tok.isdecimal() and dst_tok.isdecimal()):
-                    src = int(src_tok)
-                    dst = int(dst_tok)
-                    append(new_arc(Arc, (src, dst, il, ol, w)))
-                    if start is None:
-                        start = src
-                    if src > max_state:
-                        max_state = src
-                    if dst > max_state:
-                        max_state = dst
-                    continue
+                s = int(tok)
             except ValueError:
-                pass
-        if not fields or fields[0].startswith("#"):
-            continue
-        if n in (1, 2):
-            s = parse_state(fields[0], line_no)
-            w = parse_weight(fields[1], line_no) if n == 2 else 0.0
-            finals[s] = w
-            if start is None:
-                start = s
-            max_state = max(max_state, s)
-        elif n in (4, 5):
-            src = parse_state(fields[0], line_no)
-            dst = parse_state(fields[1], line_no)
-            il = _resolve_label(fields[2], isyms, line_no)
-            ol = _resolve_label(fields[3], osyms, line_no)
-            w = parse_weight(fields[4], line_no) if n == 5 else 0.0
-            append(Arc(src, dst, il, ol, w))
+                raise ParseError(f"bad state id {tok!r}", line_no) from None
+            if s < 0:
+                raise ParseError(f"negative state id {s}", line_no)
+            return s
+
+        def parse_weight(tok: str, line_no: int) -> float:
+            try:
+                w = float(tok)
+            except ValueError:
+                raise ParseError(f"bad weight {tok!r}", line_no) from None
+            if math.isnan(w):
+                raise ParseError("weight is NaN", line_no)
+            if w < 0 and not allow_negative_weights:
+                raise ParseError(
+                    f"negative weight {w} (pass allow_negative_weights to accept)", line_no)
+            return w
+
+        # Label lookups bound once; without a table every token misses and
+        # falls back to its integer value, as in `_resolve_label`.
+        ilabel_of = isyms._sym_to_id.get if isyms is not None else {}.get
+        olabel_of = osyms._sym_to_id.get if osyms is not None else {}.get
+
+        for line_no, raw in enumerate(block, start=first_line_no):
+            fields = raw.split()
+            n = len(fields)
+            arc = None
+            if n == 5 or n == 4:
+                # Fast arm for a well-formed arc line.  Any other line
+                # (comments, signed or non-decimal ids, ids too long for
+                # int(), unknown labels, NaN, negative or malformed weights)
+                # goes on to the checking arm below, which parses it again and
+                # raises the exact error.
+                src_tok, dst_tok, il_tok, ol_tok = fields[0], fields[1], fields[2], fields[3]
+                try:
+                    il = ilabel_of(il_tok)
+                    if il is None and il_tok.isdecimal():
+                        il = int(il_tok)
+                    ol = olabel_of(ol_tok)
+                    if ol is None and ol_tok.isdecimal():
+                        ol = int(ol_tok)
+                    w = float(fields[4]) if n == 5 else 0.0
+                    if (w >= 0.0 and il is not None and ol is not None
+                            and src_tok.isdecimal() and dst_tok.isdecimal()):
+                        arc = (int(src_tok), int(dst_tok), il, ol, w)
+                except ValueError:
+                    pass
+            if arc is None:
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if n in (1, 2):
+                    s = parse_state(fields[0], line_no)
+                    finals[s] = parse_weight(fields[1], line_no) if n == 2 else 0.0
+                    if start is None:
+                        start = s
+                    max_state = max(max_state, s)
+                    continue
+                if n not in (4, 5):
+                    raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {n}",
+                                     line_no)
+                arc = (parse_state(fields[0], line_no), parse_state(fields[1], line_no),
+                       _resolve_label(fields[2], isyms, line_no),
+                       _resolve_label(fields[3], osyms, line_no),
+                       parse_weight(fields[4], line_no) if n == 5 else 0.0)
+            src, dst, il, ol, w = arc
+            if src < ID_LIMIT and dst < ID_LIMIT and il < ID_LIMIT and ol < ID_LIMIT:
+                src_col.append(src)
+                dst_col.append(dst)
+                il_col.append(il)
+                ol_col.append(ol)
+                w_col.append(w)
+                key = (src, il, dst, ol, w)
+                if key < last_key:
+                    in_order = False
+                last_key = key
+            elif self.oversized is None:
+                self.oversized = _new_arc(arc)
             if start is None:
                 start = src
             max_state = max(max_state, src, dst)
-        else:
-            raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {n}", line_no)
+        self.start, self.max_state = start, max_state
+        self.in_order, self.last_key = in_order, last_key
 
-    if start is None:
-        raise ParseError("no states found in transducer text")
-    return Wfst(max_state + 1, start, arcs, finals)
+    def finish(self) -> Wfst:
+        """The transducer read, or the error `Wfst` raises on it."""
+        start = self.start
+        if start is None:
+            raise ParseError("no states found in transducer text")
+        num_states = self.max_state + 1
+        if self.oversized is not None:
+            # Its state id makes num_states too large, or its label is past
+            # ID_LIMIT: `Wfst` checks in this order, so one of these raises.
+            _check_states(num_states, start, self.finals)
+            _reject_invalid_arc([self.oversized], num_states)
+        if self.in_order:
+            return Wfst._from_columns(num_states, start, self.columns, self.finals)
+        return Wfst(num_states, start, list(map(_new_arc, zip(*self.columns))), self.finals)
+
+
+def _label_ids(tokens: list[str], table: SymbolTable | None,
+               known: dict[str, int]) -> list[int] | None:
+    """The ids of label tokens.  Each distinct token is resolved once into
+    `known`: through the table if there is one, else as a decimal integer.
+    None if a token is neither, or its id is not below `ID_LIMIT`."""
+    new = set(tokens).difference(known)
+    if new:
+        symbols = table._sym_to_id if table is not None else {}
+        named = new.intersection(symbols)
+        numbers = new.difference(named)
+        if numbers and not "".join(numbers).isdecimal():
+            return None
+        try:
+            ids = [*map(symbols.__getitem__, named), *map(int, numbers)]
+        except ValueError:  # past int()'s digit limit
+            return None
+        if max(ids) >= ID_LIMIT:
+            return None
+        known.update(zip(chain(named, numbers), ids))
+    return list(map(known.__getitem__, tokens))
 
 
 def _epsilon_topo_order(w: Wfst, states) -> list[int] | None:
@@ -461,7 +647,7 @@ def _epsilon_topo_order(w: Wfst, states) -> list[int] | None:
     succ: dict[int, list[int]] = {s: [] for s in states}
     for s in states:
         for i in range(w.arc_offsets[s], w.eps_split[s]):
-            d = w.arcs[i].dst
+            d = w.arc_dst[i]
             if d in in_set:
                 succ[s].append(d)
                 indeg[d] += 1
@@ -494,11 +680,11 @@ def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:
     zero-reduced-cost arcs; a plain DFS on that subgraph finds one.  This is
     exact even for the mixed-sign weights a permissive parse can let through.
     """
-    edges: list[tuple[int, int, float]] = [
-        (a.src, a.dst, a.weight) for a in w.arcs if a.ilabel == EPSILON
-    ]
-    if not edges:
+    if not w.has_epsilon_arcs:
         return None
+    eps = list(map(not_, w.arc_ilabel))
+    edges: list[tuple[int, int, float]] = list(zip(
+        compress(w.arc_src, eps), compress(w.arc_dst, eps), compress(w.arc_weight, eps)))
     n = w.num_states
 
     # Bellman-Ford from a virtual source connected to every state by a

@@ -1,0 +1,71 @@
+"""A decode process loads none of the modules only `bench` reports need.
+
+`statistics` (with `fractions` and `decimal`) serves one median in
+`run_bench`, and `json` serves `report_json`; both are imported where they
+are used.  `import lsd_wfst.cli` and a whole `lsd-wfst decode`, LSD or FSD,
+with or without a lattice, run in a fresh interpreter that must end with
+none of them loaded.  The script reports with `repr`, since `json` is one
+of the modules it looks for.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+import lsd_wfst
+from lsd_wfst.fixtures import generate_fixture
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lsd_wfst.__file__)))
+
+UNWANTED = ("statistics", "json", "fractions", "decimal")
+
+DECODE_SCRIPT = f"""\
+import sys
+unwanted = {UNWANTED!r}
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in unwanted)
+import lsd_wfst.cli
+after_import = loaded()
+code = lsd_wfst.cli.main(sys.argv[1:])
+print(repr({{"code": code, "after_import": after_import, "after_decode": loaded()}}))
+"""
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", DECODE_SCRIPT, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    return lines[:-1], ast.literal_eval(lines[-1])
+
+
+@pytest.fixture(scope="module")
+def fixture_paths(tmp_path_factory):
+    out = tmp_path_factory.mktemp("decode_imports")
+    paths = generate_fixture("random", str(out / "g"), seed=11, states=40, arcs=120,
+                             labels=5, frames=60, blank_fraction=0.6, eps_fraction=0.2,
+                             selfloops=True)
+    return paths, out
+
+
+@pytest.mark.parametrize("mode", ["lsd", "fsd"])
+@pytest.mark.parametrize("lattice", [False, True])
+def test_decode_process_loads_no_bench_only_modules(fixture_paths, mode, lattice):
+    paths, out = fixture_paths
+    args = ["decode", "--graph", paths["graph"], "--posts", paths["posts"],
+            "--isyms", paths["isyms"], "--osyms", paths["osyms"], "--mode", mode,
+            "--beam", "8", "--max-active", "20"]
+    if lattice:
+        # A narrow beam: path-exact pruning at the default beam of 8 can hit
+        # its node cap on FSD lattices.
+        args += ["--lattice-out", str(out / f"{mode}.lat"), "--lattice-beam", "2"]
+    transcript, report = _run(args)
+    assert report["code"] in (0, 3), report
+    assert transcript, "decode printed no transcript"
+    assert report["after_import"] == [], report
+    assert report["after_decode"] == [], report
