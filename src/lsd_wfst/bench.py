@@ -50,23 +50,20 @@ class BenchReport:
 
 
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
-              workers: int, group_size: int) -> DecodeResult:
+              workers: int) -> DecodeResult:
     if mode == "fsd-serial":
         return decode_fsd(wfst, posts, cfg)
     if mode == "lsd-serial":
         return decode_lsd(wfst, posts, cfg)
     if mode == "lsd-parallel":
-        return parallel_decode(wfst, posts, replace(cfg, mode="lsd"),
-                               workers=workers, group_size=group_size)
+        return parallel_decode(wfst, posts, replace(cfg, mode="lsd"), workers=workers)
     if mode == "fsd-parallel":
-        return parallel_decode(wfst, posts, replace(cfg, mode="fsd"),
-                               workers=workers, group_size=group_size)
+        return parallel_decode(wfst, posts, replace(cfg, mode="fsd"), workers=workers)
     raise ValueError(f"unknown bench mode {mode!r}")
 
 
 def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
-              modes=DEFAULT_MODES, repeats: int = 5, workers: int = 1,
-              group_size: int = 32) -> BenchReport:
+              modes=DEFAULT_MODES, repeats: int = 5, workers: int = 1) -> BenchReport:
     """Median-of-`repeats` search timings per mode, with invariants asserted."""
     import statistics  # with fractions and decimal, ~6 ms that decoding does not need
 
@@ -85,7 +82,6 @@ def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
             "max_active": cfg.max_active,
             "acoustic_scale": cfg.acoustic_scale,
             "workers": workers,
-            "group_size": group_size,
         },
     )
 
@@ -94,7 +90,7 @@ def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         result: DecodeResult | None = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            run = _run_mode(mode, wfst, posts, cfg, workers, group_size)
+            run = _run_mode(mode, wfst, posts, cfg, workers)
             times.append(time.perf_counter() - t0)
             if result is not None and (run.search_steps != result.search_steps
                                        or run.tokens_expanded != result.tokens_expanded):

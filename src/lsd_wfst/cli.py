@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 file or parse errors (and infeasible generator
 parameters), 3 search death (the beam emptied mid-utterance; a partial
-result is still printed), 4 step-count invariant breach inside bench.
+result is still printed), 4 step-count invariant breach inside bench,
+5 out of memory (for example, a graph whose largest state id asks for more
+per-state tables than the host can hold).  A lattice too large to prune
+still exits 2.
 The LSD_WFST_LOG environment variable sets the log level.
 """
 
@@ -21,7 +24,6 @@ from .decoder import DecodeConfig, decode
 from .lattice import (
     LatticeError,
     LatticeRecorder,
-    PipelinedLatticeBuilder,
     build_lattice,
     lattice_best_path,
     load_lattice,
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SEARCH_DEAD = 3
 EXIT_INVARIANT = 4
+EXIT_RESOURCE = 5
 
 
 def _setup_logging() -> None:
@@ -79,8 +82,6 @@ def _add_decode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blank-threshold", type=float, default=0.98)
     p.add_argument("--acoustic-scale", type=float, default=1.0)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--group-size", type=_positive_int, default=32,
-                   help="accepted for compatibility; does not change how --workers runs")
     p.add_argument("--strict-posteriors", action="store_true",
                    help="reject rows whose probabilities do not sum to 1")
 
@@ -121,19 +122,9 @@ def cmd_decode(args) -> int:
     graph, posts, _, osyms = _load_inputs(args)
     cfg = _config_from_args(args)
 
-    builder = None
-    recorder = None
-    if args.lattice_out:
-        if args.workers > 1:
-            # Lattice assembly runs on its own thread, one step behind decoding.
-            builder = PipelinedLatticeBuilder(graph)
-            recorder = LatticeRecorder(consumer=builder)
-        else:
-            recorder = LatticeRecorder()
-
+    recorder = LatticeRecorder() if args.lattice_out else None
     if args.workers > 1:
-        result = parallel_decode(graph, posts, cfg, workers=args.workers,
-                                 group_size=args.group_size, recorder=recorder)
+        result = parallel_decode(graph, posts, cfg, workers=args.workers, recorder=recorder)
     else:
         result = decode(graph, posts, cfg, recorder=recorder)
 
@@ -142,7 +133,7 @@ def cmd_decode(args) -> int:
         log.warning("no token reached a final state; reporting the best non-final token")
 
     if args.lattice_out:
-        lat = builder.result_from(recorder) if builder else build_lattice(recorder, graph)
+        lat = build_lattice(recorder, graph)
         if args.lattice_beam != math.inf:
             lat = prune_lattice(lat, args.lattice_beam)
         save_lattice(lat, args.lattice_out)
@@ -162,8 +153,7 @@ def cmd_bench(args) -> int:
     load_s = time.perf_counter() - t0
     cfg = _config_from_args(args)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    report = run_bench(graph, posts, cfg, modes=modes, repeats=args.repeats,
-                       workers=args.workers, group_size=args.group_size)
+    report = run_bench(graph, posts, cfg, modes=modes, repeats=args.repeats, workers=args.workers)
     report.load_wall_time_s = load_s
     if args.report == "json":
         sys.stdout.write(report_json(report))
@@ -263,6 +253,9 @@ def main(argv=None) -> int:
             LatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import queue
-import threading
 from dataclasses import dataclass, field
 
 from .wfst import Wfst
@@ -110,17 +108,15 @@ class LatticeRecorder:
     Under the threaded engine only `emitting` runs on worker threads, which
     may append concurrently (list.append is atomic under the GIL); every
     other hook, `epsilon` included, runs on the driver thread, which also
-    drives the step boundaries.  An optional consumer receives each
-    completed step, which is how the parallel engine pipelines lattice
-    construction with decoding.
+    drives the step boundaries.  A completed recording is therefore the same
+    input to `build_lattice` whichever engine made it.
     """
 
-    def __init__(self, consumer=None):
+    def __init__(self):
         self.steps: list[_StepRecord] = []
         self.final_step: int | None = None
         self.final_state: int | None = None
         self.reached_final = False
-        self._consumer = consumer
 
     def begin_step(self, node_step: int) -> None:
         if node_step != len(self.steps):
@@ -135,59 +131,12 @@ class LatticeRecorder:
         self.steps[node_step].eps.add((src_state, wfst_arc))
 
     def survivors(self, node_step: int, states: tuple[int, ...]) -> None:
-        rec = self.steps[node_step]
-        rec.survivors = tuple(states)
-        if self._consumer is not None:
-            self._consumer.feed(node_step, rec)
+        self.steps[node_step].survivors = tuple(states)
 
     def finish(self, final_step: int, final_state: int, reached_final: bool) -> None:
         self.final_step = final_step
         self.final_state = final_state
         self.reached_final = reached_final
-        if self._consumer is not None:
-            self._consumer.close()
-
-
-class _Accumulator:
-    """Incremental lattice assembly from per-step records, on (step, state)
-    node keys."""
-
-    def __init__(self, wfst: Wfst):
-        self.wfst = wfst
-        self.survivors: list[frozenset[int]] = []  # per step
-        self.arcs: list[tuple] = []  # (from key, to key, ilabel, olabel, graph, acoustic, tie)
-
-    def add_step(self, k: int, rec: _StepRecord) -> None:
-        surv = frozenset(rec.survivors)
-        w = self.wfst
-        dst_of, ilabel, olabel, weight = w.arc_dst, w.arc_ilabel, w.arc_olabel, w.arc_weight
-        append = self.arcs.append
-        if k > 0:
-            # Both engines relax each (src, arc) at most once per step.
-            prev = self.survivors[k - 1]
-            for src, ai, ac in rec.emit:
-                dst = dst_of[ai]
-                if src in prev and dst in surv:
-                    append(((k - 1, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], ac, ai))
-        for src, ai in sorted(rec.eps):
-            dst = dst_of[ai]
-            if src in surv and dst in surv and dst != src:
-                append(((k, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], 0.0, ai))
-        self.survivors.append(surv)
-
-    def build(self, final_step: int, final_state: int, reached_final: bool) -> Lattice:
-        if not self.survivors or self.wfst.start not in self.survivors[0]:
-            return EMPTY_LATTICE
-        surv = self.survivors[final_step] if final_step < len(self.survivors) else ()
-        if reached_final:
-            weights = ((s, self.wfst.final_weight(s)) for s in surv)
-            finals = {(final_step, s): fw for s, fw in weights if fw != INF}
-        else:
-            finals = {(final_step, final_state): 0.0} if final_state in surv else {}
-        lat = _assemble(self.arcs, (0, self.wfst.start), finals)
-        if not lat.is_empty:
-            _topo_order(lat)  # reject within-step epsilon cycles up front
-        return lat
 
 
 def _assemble(arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> Lattice:
@@ -234,55 +183,46 @@ def _renumber(keys, arcs: list[tuple], start: tuple, finals: dict[tuple, float])
 
 
 def build_lattice(recorder: LatticeRecorder, wfst: Wfst) -> Lattice:
-    """Assemble the raw lattice from a completed decode trace."""
-    if recorder.final_step is None:
+    """Assemble the raw lattice from a completed decode trace, on (step, state)
+    node keys."""
+    final_step = recorder.final_step
+    if final_step is None:
         if not recorder.steps:
             return EMPTY_LATTICE
         raise LatticeError("decode trace is incomplete (finish was never recorded)")
-    acc = _Accumulator(wfst)
+    dst_of, ilabel, olabel = wfst.arc_dst, wfst.arc_ilabel, wfst.arc_olabel
+    weight = wfst.arc_weight
+    survivors: list[frozenset[int]] = []  # per step
+    arcs: list[tuple] = []  # (from key, to key, ilabel, olabel, graph, acoustic, tie)
+    append = arcs.append
     for k, rec in enumerate(recorder.steps):
-        acc.add_step(k, rec)
-    return acc.build(recorder.final_step, recorder.final_state, recorder.reached_final)
+        surv = frozenset(rec.survivors)
+        if k > 0:
+            # Both engines relax each (src, arc) at most once per step.
+            prev = survivors[k - 1]
+            for src, ai, ac in rec.emit:
+                dst = dst_of[ai]
+                if src in prev and dst in surv:
+                    append(((k - 1, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], ac, ai))
+        for src, ai in sorted(rec.eps):
+            dst = dst_of[ai]
+            if src in surv and dst in surv and dst != src:
+                append(((k, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], 0.0, ai))
+        survivors.append(surv)
 
-
-class PipelinedLatticeBuilder:
-    """Builds the lattice on its own thread while decoding feeds it steps.
-
-    Attach as the recorder's consumer: step k is integrated while the
-    decoder works on step k+1, synchronized at step granularity.
-    """
-
-    def __init__(self, wfst: Wfst):
-        self._acc = _Accumulator(wfst)
-        self._queue: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._error: Exception | None = None
-        self._thread.start()
-
-    def feed(self, k: int, rec: _StepRecord) -> None:
-        self._queue.put((k, rec))
-
-    def close(self) -> None:
-        self._queue.put(None)
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            try:
-                self._acc.add_step(*item)
-            except Exception as exc:  # surfaced from result_from()
-                self._error = exc
-                return
-
-    def result_from(self, recorder: LatticeRecorder) -> Lattice:
-        if recorder.final_step is None:
-            raise LatticeError("decode trace is incomplete (finish was never recorded)")
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._acc.build(recorder.final_step, recorder.final_state, recorder.reached_final)
+    if not survivors or wfst.start not in survivors[0]:
+        return EMPTY_LATTICE
+    surv = survivors[final_step] if final_step < len(survivors) else ()
+    if recorder.reached_final:
+        weights = ((s, wfst.final_weight(s)) for s in surv)
+        finals = {(final_step, s): fw for s, fw in weights if fw != INF}
+    else:
+        final_state = recorder.final_state
+        finals = {(final_step, final_state): 0.0} if final_state in surv else {}
+    lat = _assemble(arcs, (0, wfst.start), finals)
+    if not lat.is_empty:
+        _topo_order(lat)  # reject within-step epsilon cycles up front
+    return lat
 
 
 def _topo_order(lat: Lattice) -> list[int]:

@@ -26,9 +26,6 @@ from .decoder import (DecodeConfig, DecodeResult, _close_and_prune, _emit, _sear
 from .posteriors import PosteriorMatrix
 from .wfst import Wfst
 
-DEFAULT_GROUP_SIZE = 32
-
-
 class ClaimLedger:
     """Per-step record of which worker claimed which token queue index."""
 
@@ -141,16 +138,18 @@ class WorkerPool:
 
 
 def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
-                    workers: int = 1, group_size: int = DEFAULT_GROUP_SIZE,
+                    workers: int = 1, group_size: int = 32,
                     recorder=None, claim_ledger: ClaimLedger | None = None,
                     debug_epoch: bool = False) -> DecodeResult:
     """Decode with `workers` threads sharing each step's emit phase.
 
     Produces a DecodeResult identical in every field to the serial decoder
     run with the same configuration and mode.  `group_size` (checked to be
-    >= 1) and `debug_epoch` are accepted for compatibility and change
-    nothing: no state outlives a step, so there is neither a lane split
-    nor a stale phase to guard against.
+    >= 1) and `debug_epoch` change nothing: no state outlives a step, so
+    there is neither a lane split nor a stale phase to guard against.  They
+    remain keyword arguments only because the acceptance suite
+    (`tests/test_acceptance.py`) still passes them; the CLI and `run_bench`
+    have no such option.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -133,13 +134,13 @@ class TestDecodeCommand:
                  "--posts", one_arc_files["posts"], "--mode", "fsd"])
         serial_out = capsys.readouterr().out
         run_cli(["decode", "--graph", one_arc_files["graph"],
-                 "--posts", one_arc_files["posts"], "--mode", "fsd",
-                 "--workers", "4", "--group-size", "2"])
+                 "--posts", one_arc_files["posts"], "--mode", "fsd", "--workers", "4"])
         assert capsys.readouterr().out == serial_out
 
     def test_parallel_lattice_out_matches_serial_bytes(self, tmp_path, capsys):
-        """The pipelined lattice builder behind --workers > 1 writes the
-        same file as serial decoding, on an epsilon-heavy graph."""
+        """--workers > 1 records into the same `LatticeRecorder` and builds
+        with the same `build_lattice` as serial decoding, so it writes the
+        same file, on an epsilon-heavy graph."""
         prefix = str(tmp_path / "fix")
         assert run_cli(["gen", "--kind", "random", "--states", "20", "--arcs", "60",
                         "--labels", "4", "--frames", "12", "--blank-fraction", "0.3",
@@ -157,6 +158,33 @@ class TestDecodeCommand:
         assert outputs[0] == outputs[1]
         lat = load_lattice(str(tmp_path / "w2.lat"))
         assert any(lat.nodes[a.from_id].step == lat.nodes[a.to_id].step for a in lat.arcs)
+
+    def test_failed_parallel_lattice_decode_leaves_no_thread(self, tmp_path, capsys):
+        """A threaded decode with --lattice-out that raises (here on a
+        zero-weight epsilon cycle) exits 2 and leaves no thread behind."""
+        graph = tmp_path / "cycle.txt"
+        posts = tmp_path / "p.txt"
+        graph.write_text("0 1 0 0 0.0\n1 0 0 0 0.0\n0 0 1 1 0.5\n0\n")
+        posts.write_text("2 2 blank=0\n0.5 0.5\n0.5 0.5\n")
+        before = threading.active_count()
+        code = run_cli(["decode", "--graph", str(graph), "--posts", str(posts),
+                        "--mode", "fsd", "--workers", "2",
+                        "--lattice-out", str(tmp_path / "out.lat")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+    def test_out_of_memory_exits_5(self, one_arc_files, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_wfst_text", no_memory)
+        code = run_cli(["decode", "--graph", one_arc_files["graph"],
+                        "--posts", one_arc_files["posts"]])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_RESOURCE == 5
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
 
 
 class TestGenCommand:
@@ -316,8 +344,8 @@ class TestLatticeCommand:
 
 @pytest.mark.parametrize("command", ["decode", "bench"])
 @pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-2"),
-                                        ("--group-size", "0"), ("--workers", "two"),
-                                        ("--max-active", "0"), ("--max-active", "-5")])
+                                        ("--workers", "two"), ("--max-active", "0"),
+                                        ("--max-active", "-5")])
 def test_nonpositive_workers_or_group_size_exit_2(one_arc_files, capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--graph", one_arc_files["graph"],

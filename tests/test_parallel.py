@@ -25,12 +25,7 @@ from lsd_wfst.decoder import (
     decode_lsd,
 )
 from lsd_wfst.fixtures import make_random_posteriors, make_random_wfst
-from lsd_wfst.lattice import (
-    LatticeError,
-    LatticeRecorder,
-    PipelinedLatticeBuilder,
-    build_lattice,
-)
+from lsd_wfst.lattice import LatticeError, LatticeRecorder, build_lattice
 from lsd_wfst.parallel import (
     ClaimLedger,
     Dispatcher,
@@ -256,9 +251,9 @@ class TestParallelDecode:
         assert results[1] == results[2] == results[32]
 
     def test_lattice_records_match_serial(self):
-        """The recorded lattice is schedule-invariant: parallel decoding with
-        the pipelined builder yields the same canonical lattice object as the
-        serial decoder."""
+        """The recorded lattice is schedule-invariant: a threaded decode's
+        recording builds the same canonical lattice object as the serial
+        decoder's."""
         for seed in (1, 5, 9):
             w, p = random_instance(seed + 300, max_states=15, max_arcs=45,
                                    max_frames=6, eps_fraction=0.25)
@@ -267,11 +262,9 @@ class TestParallelDecode:
             decode_fsd(w, p, cfg, recorder=serial_rec)
             serial_lat = build_lattice(serial_rec, w)
 
-            builder = PipelinedLatticeBuilder(w)
-            par_rec = LatticeRecorder(consumer=builder)
+            par_rec = LatticeRecorder()
             parallel_decode(w, p, cfg, workers=4, group_size=2, recorder=par_rec)
-            par_lat = builder.result_from(par_rec)
-            assert par_lat == serial_lat
+            assert build_lattice(par_rec, w) == serial_lat
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("group", [1, 32])
@@ -409,11 +402,10 @@ def test_serial_parallel_and_recorder_agree(instance, mode, beam, max_active, wo
     assert _fields(parallel_decode(wfst, posts, cfg, workers=workers, group_size=group)) == serial
     serial_rec = LatticeRecorder()
     assert _fields(decode(wfst, posts, cfg, recorder=serial_rec)) == serial
-    builder = PipelinedLatticeBuilder(wfst)
-    threaded_rec = LatticeRecorder(consumer=builder)
+    threaded_rec = LatticeRecorder()
     assert _fields(parallel_decode(wfst, posts, cfg, workers=workers, group_size=group,
                                    recorder=threaded_rec)) == serial
-    assert (_lattice_or_error(lambda: builder.result_from(threaded_rec))
+    assert (_lattice_or_error(lambda: build_lattice(threaded_rec, wfst))
             == _lattice_or_error(lambda: build_lattice(serial_rec, wfst)))
 
 
