@@ -119,8 +119,8 @@ def _transcript_line(olabels: tuple[int, ...], cost: float, osyms: SymbolTable |
 
 
 def cmd_decode(args) -> int:
-    graph, posts, _, osyms = _load_inputs(args)
     cfg = _config_from_args(args)
+    graph, posts, _, osyms = _load_inputs(args)
 
     recorder = LatticeRecorder() if args.lattice_out else None
     if args.workers > 1:
@@ -148,10 +148,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    cfg = _config_from_args(args)
     t0 = time.perf_counter()
     graph, posts, _, _ = _load_inputs(args)
     load_s = time.perf_counter() - t0
-    cfg = _config_from_args(args)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     report = run_bench(graph, posts, cfg, modes=modes, repeats=args.repeats, workers=args.workers)
     report.load_wall_time_s = load_s

@@ -92,8 +92,10 @@ class DecodeConfig:
         # Negated comparisons so that NaN, which compares false, is rejected.
         if not self.beam >= 0:
             raise ValueError(f"beam must be >= 0, got {self.beam}")
-        if self.max_active is not None and self.max_active < 1:
-            raise ValueError(f"max_active must be >= 1, got {self.max_active}")
+        # A NaN cap would disable pruning and a float one fail mid-decode.
+        if self.max_active is not None and (type(self.max_active) is not int
+                                            or self.max_active < 1):
+            raise ValueError(f"max_active must be None or an int >= 1, got {self.max_active!r}")
         if not 0 < self.acoustic_scale < INF:
             raise ValueError(
                 f"acoustic_scale must be positive and finite, got {self.acoustic_scale}")

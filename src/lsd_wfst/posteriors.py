@@ -225,8 +225,11 @@ def classify_blank_frames(p: PosteriorMatrix, threshold: float) -> BlankMask:
 
     Thresholds above 1 are legal and classify nothing as blank, which makes
     label-synchronous search degenerate to the frame-synchronous baseline.
+    A NaN threshold, which would do the same silently, raises `ValueError`.
     """
     threshold = float(threshold)
+    if math.isnan(threshold):
+        raise ValueError("blank threshold must be a number, got nan")
     blank_column = p._flat[p.blank_col::p.num_labels]
     # threshold < x, that is x > threshold, for each frame's blank probability x.
     return BlankMask(bits=tuple(map(threshold.__lt__, blank_column)), threshold=threshold)

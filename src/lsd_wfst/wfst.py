@@ -13,10 +13,10 @@ search reads the columns only; `Wfst.arcs`, the same arcs as `Arc`
 NamedTuples, is built on first access.  State and label ids are below
 `ID_LIMIT` (2^31, the range of OpenFst's int32 ids).
 
-`parse_wfst_text` reads the text one block of lines at a time.  A block of
-5-field arc lines is converted column by column; any other block goes
-through a line-by-line loop that checks every field and names the line of
-the first error.
+`parse_wfst_text` reads the text one block of lines at a time.  The leading
+5-field arc lines of each block are converted column by column; the rest of
+the block goes through a line-by-line loop that checks every field and names
+the line of the first error.
 """
 
 from __future__ import annotations
@@ -430,14 +430,16 @@ def parse_wfst_text(text: str, isyms: SymbolTable | None = None,
     by_block = _LINE_END not in text
     for first in range(0, len(lines), _BLOCK_LINES):
         block = lines[first:first + _BLOCK_LINES]
-        if not (by_block and reader.arc_block(block)):
-            reader.read_lines(block, first + 1)
+        taken = reader.arc_block(block) if by_block else 0
+        if taken < len(block):
+            reader.read_lines(block[taken:], first + taken + 1)
     return reader.finish()
 
 
 class _GraphReader:
     """Arc columns, final weights and the start state of AT&T text, read one
-    block of lines at a time."""
+    block of lines at a time: `arc_block` converts the block's leading arc
+    lines in columns, and `read_lines` checks the rest line by line."""
 
     def __init__(self, isyms: SymbolTable | None, osyms: SymbolTable | None,
                  allow_negative_weights: bool):
@@ -460,40 +462,46 @@ class _GraphReader:
         self.in_order = True
         self.last_key: tuple = (-1,)
 
-    def arc_block(self, block: list[str]) -> bool:
-        """Append a block of 5-field arc lines to the columns, column by column.
+    def arc_block(self, block: list[str]) -> int:
+        """Append the block's leading run of 5-field arc lines to the columns,
+        column by column, and return the number of lines taken.
 
-        Returns False, having appended nothing, if any line needs the
-        checking loop: a line that is not 5 fields, a signed, non-decimal
-        or oversized id, an unknown label, or a weight that is NaN,
-        malformed or (unless allowed) negative.
+        Returns 0, having appended nothing, if any line of that run needs
+        the checking loop: a signed, non-decimal or oversized id, an unknown
+        label, or a weight that is NaN, malformed or (unless allowed)
+        negative.
         """
         n = len(block)
         # No line holds a line-end token of its own (`parse_wfst_text` reads
         # text that has one line by line), so line i's fields are
-        # tokens[6i : 6i+5] iff every inserted line-end sits at 6i+5.
+        # tokens[6i : 6i+5] iff every inserted line-end sits at 6i+5.  If
+        # not, the lines before the first that is not 5 fields hold the
+        # leading tokens.
         tokens = f" {_LINE_END} ".join(block).split()
         if len(tokens) != 6 * n - 1 or tokens[5::6].count(_LINE_END) != n - 1:
-            return False
+            n = next((i for i, line in enumerate(block) if len(line.split()) != 5), n)
+            if not n:
+                return 0
+            tokens = tokens[:6 * n - 1]
         src_tokens, dst_tokens = tokens[0::6], tokens[1::6]
         if not ("".join(src_tokens).isdecimal() and "".join(dst_tokens).isdecimal()):
-            return False
+            return 0
         il = _label_ids(tokens[2::6], self.isyms, self.ilabel_ids)
         ol = _label_ids(tokens[3::6], self.osyms, self.olabel_ids)
         if il is None or ol is None:
-            return False
+            return 0
         try:
             src = list(map(int, src_tokens))  # ValueError past int()'s digit limit
             dst = list(map(int, dst_tokens))
             w = list(map(float, tokens[4::6]))
         except ValueError:
-            return False
+            return 0
         top = max(max(src), max(dst))
         if top >= ID_LIMIT:
-            return False
+            return 0
         total = sum(w)  # NaN iff some weight is NaN, or both infinities occur
         if total != total or (min(w) < 0.0 and not self.allow_negative_weights):
-            return False
+            return 0
         for column, values in zip(self.columns, (src, dst, il, ol, w)):
             column.fromlist(values)
         if self.in_order:
@@ -504,7 +512,7 @@ class _GraphReader:
         if self.start is None:
             self.start = src[0]
         self.max_state = max(self.max_state, top)
-        return True
+        return n
 
     def read_lines(self, block: list[str], first_line_no: int) -> None:
         """Read a block line by line, raising the exact error of the first bad line."""
@@ -536,52 +544,24 @@ class _GraphReader:
                     f"negative weight {w} (pass allow_negative_weights to accept)", line_no)
             return w
 
-        # Label lookups bound once; without a table every token misses and
-        # falls back to its integer value, as in `_resolve_label`.
-        ilabel_of = isyms._sym_to_id.get if isyms is not None else {}.get
-        olabel_of = osyms._sym_to_id.get if osyms is not None else {}.get
-
         for line_no, raw in enumerate(block, start=first_line_no):
             fields = raw.split()
             n = len(fields)
-            arc = None
-            if n == 5 or n == 4:
-                # Fast arm for a well-formed arc line.  Any other line
-                # (comments, signed or non-decimal ids, ids too long for
-                # int(), unknown labels, NaN, negative or malformed weights)
-                # goes on to the checking arm below, which parses it again and
-                # raises the exact error.
-                src_tok, dst_tok, il_tok, ol_tok = fields[0], fields[1], fields[2], fields[3]
-                try:
-                    il = ilabel_of(il_tok)
-                    if il is None and il_tok.isdecimal():
-                        il = int(il_tok)
-                    ol = olabel_of(ol_tok)
-                    if ol is None and ol_tok.isdecimal():
-                        ol = int(ol_tok)
-                    w = float(fields[4]) if n == 5 else 0.0
-                    if (w >= 0.0 and il is not None and ol is not None
-                            and src_tok.isdecimal() and dst_tok.isdecimal()):
-                        arc = (int(src_tok), int(dst_tok), il, ol, w)
-                except ValueError:
-                    pass
-            if arc is None:
-                if not fields or fields[0].startswith("#"):
-                    continue
-                if n in (1, 2):
-                    s = parse_state(fields[0], line_no)
-                    finals[s] = parse_weight(fields[1], line_no) if n == 2 else 0.0
-                    if start is None:
-                        start = s
-                    max_state = max(max_state, s)
-                    continue
-                if n not in (4, 5):
-                    raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {n}",
-                                     line_no)
-                arc = (parse_state(fields[0], line_no), parse_state(fields[1], line_no),
-                       _resolve_label(fields[2], isyms, line_no),
-                       _resolve_label(fields[3], osyms, line_no),
-                       parse_weight(fields[4], line_no) if n == 5 else 0.0)
+            if not fields or fields[0].startswith("#"):
+                continue
+            if n in (1, 2):
+                s = parse_state(fields[0], line_no)
+                finals[s] = parse_weight(fields[1], line_no) if n == 2 else 0.0
+                if start is None:
+                    start = s
+                max_state = max(max_state, s)
+                continue
+            if n not in (4, 5):
+                raise ParseError(f"expected 1-2 (final) or 4-5 (arc) fields, got {n}", line_no)
+            arc = (parse_state(fields[0], line_no), parse_state(fields[1], line_no),
+                   _resolve_label(fields[2], isyms, line_no),
+                   _resolve_label(fields[3], osyms, line_no),
+                   parse_weight(fields[4], line_no) if n == 5 else 0.0)
             src, dst, il, ol, w = arc
             if src < ID_LIMIT and dst < ID_LIMIT and il < ID_LIMIT and ol < ID_LIMIT:
                 src_col.append(src)

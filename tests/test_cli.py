@@ -373,6 +373,17 @@ def test_bad_lattice_beam_exits_2_before_decoding(tmp_path, one_arc_files, capsy
     assert not (tmp_path / "out.lat").exists()
 
 
+@pytest.mark.parametrize("command", ["decode", "bench"])
+@pytest.mark.parametrize("flag,value", [("--acoustic-scale", "0"), ("--beam", "nan"),
+                                        ("--blank-threshold", "nan")])
+def test_bad_config_exits_2_before_reading_inputs(capsys, command, flag, value):
+    # The config error is reported, not the missing input it would otherwise meet first.
+    assert run_cli([command, "--graph", "/nonexistent/g.txt", "--posts", "/nonexistent/p.txt",
+                    flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag[2:].replace("-", "_") in err and "nonexistent" not in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -8,6 +8,9 @@
   switch from arcs to final lines and across the order check, the parser
   agrees with `tests/oracles.py`'s line-by-line reference on mutated
   `Wfst.to_text` output: the same graph bit for bit, or the same error.
+- The leading arc lines of a block go in columns: on `to_text` output that
+  fits in one block, only the final lines reach the checking loop, and an
+  error after the leading arcs names its own line.
 - A decode reads the columns only: it never builds `Wfst.arcs`.
 """
 
@@ -16,7 +19,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lsd_wfst.wfst as wfst_module
@@ -214,6 +217,45 @@ def test_line_end_token_in_the_text_is_read_line_by_line():
     tables = SymbolTable({"a": 1, "\0": 2})
     _assert_same("0 1 a\n0.5 \0 1 2 a a 0.5\n", tables, False)
     _assert_same("0 1 1 1 0.5\n1 2 1 1 0.5 \0\n2\n", None, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), states=st.integers(2, 60), named=st.booleans(),
+       eps_fraction=st.sampled_from([0.0, 0.5]))
+def test_leading_arcs_of_a_block_skip_the_line_loop(seed, states, named, eps_fraction):
+    # `to_text` writes the arcs, then the finals: in one block, only the
+    # final lines may reach the checking loop.
+    graph = make_random_wfst(random.Random(seed), num_states=states, num_arcs=3 * states,
+                             num_labels=4, eps_fraction=eps_fraction, final_fraction=0.5)
+    assume(graph.final_weights)
+    tables = SymbolTable({f"s{i}": i for i in range(1, 5)}) if named else None
+    text = graph.to_text(tables, tables)
+    lines = text.splitlines()
+    assert len(lines) <= wfst_module._BLOCK_LINES
+    seen = []
+    read_lines = wfst_module._GraphReader.read_lines
+
+    def spy(reader, block, first_line_no):
+        seen.append((block, first_line_no))
+        return read_lines(reader, block, first_line_no)
+
+    with mock.patch.object(wfst_module._GraphReader, "read_lines", spy):
+        got = parse_wfst_text(text, tables, tables)
+    assert seen == [(lines[graph.num_arcs:], graph.num_arcs + 1)]
+    assert all(len(line.split()) in (1, 2) for line in seen[0][0])
+    assert _fields(got) == _fields(reference_parse_wfst_text(text, tables, tables))
+
+
+@pytest.mark.parametrize("tail", [["3 x"], ["0 1 zzz 1"], ["3 nan"], ["3", "3 x"],
+                                  ["0 1 1 1", "0 1 1 zzz"], ["3 0.5 1"]])
+def test_line_numbers_after_the_leading_arcs(tail):
+    # Ten arc lines in columns, then the checking loop from line 11 on.
+    arcs = [f"{i} {i + 1} 1 1 0.5" for i in range(10)]
+    text = "\n".join(arcs + tail + ["10"]) + "\n"
+    _assert_same(text, None, False)
+    with pytest.raises((ParseError, SymbolError)) as err:
+        parse_wfst_text(text)
+    assert f"line {10 + len(tail)}:" in str(err.value)
 
 
 def test_unsorted_text_is_stored_sorted():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -383,6 +384,12 @@ class TestPruningAndDeterminism:
             assert costs[-1] == reference.total_cost
             first_hit = costs.index(reference.total_cost)
             assert all(c == reference.total_cost for c in costs[first_hit:])
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, INF, -INF, 0, -3, "4", True])
+    def test_max_active_must_be_a_positive_int(self, value):
+        with pytest.raises(ValueError, match=f"max_active must be None or an int >= 1, "
+                                             f"got {re.escape(repr(value))}"):
+            DecodeConfig(max_active=value)
 
     def test_repeat_runs_identical_on_tie_heavy_graph(self):
         rng = random.Random(5)

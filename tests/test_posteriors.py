@@ -111,6 +111,12 @@ class TestClassifyBlankFrames:
         assert mask.count == 0
         assert mask.nonblank_frames() == [0]
 
+    def test_nan_threshold_raises(self):
+        # A NaN threshold would classify no frame as blank, turning LSD into FSD.
+        p = PosteriorMatrix(np.array([[0.999, 0.0005, 0.0005]]), blank_col=0)
+        with pytest.raises(ValueError, match="nan"):
+            classify_blank_frames(p, math.nan)
+
     def test_exactly_at_threshold_is_not_blank(self):
         rows = np.array([[0.98, 0.01, 0.01]])
         p = PosteriorMatrix(rows, blank_col=0)
