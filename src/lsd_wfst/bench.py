@@ -22,6 +22,7 @@ from .wfst import Wfst
 
 REPORT_SCHEMA = "v1"
 
+MODES = ("fsd-serial", "lsd-serial", "lsd-parallel", "fsd-parallel")
 DEFAULT_MODES = ("fsd-serial", "lsd-serial", "lsd-parallel")
 
 
@@ -49,17 +50,22 @@ class BenchReport:
     load_wall_time_s: float | None = None
 
 
+def check_modes(modes: tuple[str, ...]) -> None:
+    """Raise ValueError unless `modes` is a non-empty tuple of names in `MODES`."""
+    unknown = [m for m in modes if m not in MODES]
+    if not modes or unknown:
+        found = f"unknown bench mode {unknown[0]!r}" if unknown else "no bench mode given"
+        raise ValueError(f"{found}; known modes: {', '.join(MODES)}")
+
+
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
               workers: int) -> DecodeResult:
     if mode == "fsd-serial":
         return decode_fsd(wfst, posts, cfg)
     if mode == "lsd-serial":
         return decode_lsd(wfst, posts, cfg)
-    if mode == "lsd-parallel":
-        return parallel_decode(wfst, posts, replace(cfg, mode="lsd"), workers=workers)
-    if mode == "fsd-parallel":
-        return parallel_decode(wfst, posts, replace(cfg, mode="fsd"), workers=workers)
-    raise ValueError(f"unknown bench mode {mode!r}")
+    engine_mode = mode.removesuffix("-parallel")
+    return parallel_decode(wfst, posts, replace(cfg, mode=engine_mode), workers=workers)
 
 
 def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
@@ -69,6 +75,7 @@ def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_modes(modes)
     num_frames = posts.num_frames
     blank = classify_blank_frames(posts, cfg.blank_threshold).count
 

@@ -19,7 +19,15 @@ import sys
 import time
 
 from . import __version__
-from .bench import DEFAULT_MODES, StepCountViolation, report_json, report_text, run_bench
+from .bench import (
+    DEFAULT_MODES,
+    MODES,
+    StepCountViolation,
+    check_modes,
+    report_json,
+    report_text,
+    run_bench,
+)
 from .decoder import DecodeConfig, decode
 from .lattice import (
     LatticeError,
@@ -69,6 +77,15 @@ def _nonnegative_float(text: str) -> float:
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _bench_modes(text: str) -> tuple[str, ...]:
+    modes = tuple(m.strip() for m in text.split(",") if m.strip())
+    try:
+        check_modes(modes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return modes
 
 
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
@@ -152,8 +169,8 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     graph, posts, _, _ = _load_inputs(args)
     load_s = time.perf_counter() - t0
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    report = run_bench(graph, posts, cfg, modes=modes, repeats=args.repeats, workers=args.workers)
+    report = run_bench(graph, posts, cfg, modes=args.modes, repeats=args.repeats,
+                       workers=args.workers)
     report.load_wall_time_s = load_s
     if args.report == "json":
         sys.stdout.write(report_json(report))
@@ -210,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time decoding modes on one input")
     _add_decode_args(p_bench)
-    p_bench.add_argument("--modes", default=",".join(DEFAULT_MODES),
-                         help="comma-separated: fsd-serial,lsd-serial,lsd-parallel,fsd-parallel")
-    p_bench.add_argument("--repeats", type=int, default=5)
+    p_bench.add_argument("--modes", type=_bench_modes, default=DEFAULT_MODES,
+                         help=f"comma-separated, of: {','.join(MODES)}")
+    p_bench.add_argument("--repeats", type=_positive_int, default=5)
     p_bench.add_argument("--report", choices=("text", "json"), default="text")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -34,6 +34,8 @@ def make_chain(num_states: int, num_labels: int | None = None,
         raise ValueError("chain needs at least one state")
     if num_labels is None:
         num_labels = max(1, num_states - 1)
+    if num_labels < 1:
+        raise ValueError(f"num_labels must be >= 1, got {num_labels}")
     arcs = []
     for i in range(num_states - 1):
         label = (i % num_labels) + 1
@@ -66,10 +68,16 @@ def make_random_wfst(rng: random.Random, num_states: int = 8, num_arcs: int = 16
     A random spanning backbone keeps every state reachable.  Epsilon arcs
     only ever point from a lower to a higher state id, so the epsilon
     subgraph is structurally acyclic; emitting cycles are free to occur.
-    Pass a coarse `weight_grid` to mass-produce cost ties.
+    Pass a coarse `weight_grid` to mass-produce cost ties.  Parameters are
+    checked before the first draw from `rng`.
     """
     if num_states < 1:
         raise ValueError("need at least one state")
+    if num_labels < 1:
+        raise ValueError(f"num_labels must be >= 1, got {num_labels}")
+    for name, fraction in (("eps_fraction", eps_fraction), ("final_fraction", final_fraction)):
+        if not 0.0 <= fraction <= 1.0:  # also false for NaN
+            raise ValueError(f"{name} must be in [0, 1], got {fraction}")
 
     def weight() -> float:
         if weight_grid is not None:
@@ -123,6 +131,8 @@ def make_random_posteriors(rng: random.Random, num_frames: int, num_labels: int,
     frames often enough to exercise self-loops.  Every entry stays strictly
     positive so no path is killed outright.
     """
+    if num_frames < 0:
+        raise ValueError(f"num_frames must be >= 0, got {num_frames}")
     if num_labels < 1:
         raise ValueError("need at least one non-blank label")
     if not 0.0 <= blank_fraction <= 1.0:

@@ -6,12 +6,14 @@ annihilator (no path), `0.0` the identity.
 
 Arcs are stored as typed columns, in the manner of OpenFst's const FSTs:
 `array('q')` for src, dst, ilabel and olabel and `array('d')` for weight,
-one entry per arc, sorted by (src, ilabel, dst, olabel, weight).  Each
-state's arcs form one range, and epsilon arcs (ilabel 0) sort first, so
-that range splits into an epsilon prefix and an emitting suffix.  The
-search reads the columns only; `Wfst.arcs`, the same arcs as `Arc`
-NamedTuples, is built on first access.  State and label ids are below
-`ID_LIMIT` (2^31, the range of OpenFst's int32 ids).
+one entry per arc, sorted by (src, ilabel, dst, olabel, weight).  The
+columns may arrive in any order: `Wfst._store` checks the order in one
+pass and sorts, stably, only when it is broken.  Each state's arcs form one
+range, and epsilon arcs (ilabel 0) sort first, so that range splits into an
+epsilon prefix and an emitting suffix.  The search reads the columns only;
+`Wfst.arcs`, the same arcs as `Arc` NamedTuples, is built on first access.
+State and label ids are below `ID_LIMIT` (2^31, the range of OpenFst's
+int32 ids).
 
 `parse_wfst_text` reads the text one block of lines at a time.  The leading
 5-field arc lines of each block are converted column by column; the rest of
@@ -21,15 +23,14 @@ the line of the first error.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
-from operator import add, attrgetter, le, not_
+from itertools import accumulate, chain, compress, pairwise, repeat, starmap
+from operator import add, le, not_
 from typing import NamedTuple
 
 log = logging.getLogger("lsd_wfst.wfst")
@@ -73,9 +74,6 @@ class Arc(NamedTuple):
     weight: float
 
 
-# Stored arc order: grouped by source state, epsilon arcs first.
-_ARC_ORDER = attrgetter("src", "ilabel", "dst", "olabel", "weight")
-
 _new_arc = partial(tuple.__new__, Arc)  # Arc(*fields) without its Python-level __new__
 
 
@@ -88,20 +86,13 @@ class EpsilonCycle:
 
 
 class SymbolTable:
-    """Bidirectional label-id <-> label-string map. Id 0 is always "<eps>".
-
-    If a "<blank>" symbol is present its id is remembered as `blank_id`;
-    blank only ever appears as a posterior-matrix column, never as a WFST
-    input label.
-    """
+    """Bidirectional label-id <-> label-string map. Id 0 is always "<eps>"."""
 
     EPS_SYMBOL = "<eps>"
-    BLANK_SYMBOL = "<blank>"
 
     def __init__(self, symbols: dict[str, int] | None = None):
         self._sym_to_id: dict[str, int] = {self.EPS_SYMBOL: 0}
         self._id_to_sym: dict[int, str] = {0: self.EPS_SYMBOL}
-        self.blank_id: int | None = None
         if symbols:
             for sym, idx in symbols.items():
                 self.add(sym, idx)
@@ -123,8 +114,6 @@ class SymbolTable:
             raise SymbolError(f"id {idx} already mapped to {other!r}, cannot remap to {symbol!r}")
         self._sym_to_id[symbol] = idx
         self._id_to_sym[idx] = symbol
-        if symbol == self.BLANK_SYMBOL:
-            self.blank_id = idx
         return idx
 
     def find_id(self, symbol: str) -> int | None:
@@ -191,22 +180,22 @@ class Wfst:
     def __init__(self, num_states: int, start: int, arcs: list[Arc],
                  final_weights: dict[int, float]):
         _check_states(num_states, start, final_weights)
-        ordered = sorted(arcs, key=_ARC_ORDER)
-        src, dst, il, ol, w = zip(*ordered) if ordered else ((),) * 5
+        columns = tuple(zip(*arcs)) if arcs else ((),) * 5
+        src, dst, il, ol, w = columns
         # Negative weights are legal here; NaN is not.
-        if ordered and not (0 <= min(src) and max(src) < num_states
-                            and 0 <= min(dst) and max(dst) < num_states
-                            and 0 <= min(il) and max(il) < ID_LIMIT
-                            and 0 <= min(ol) and max(ol) < ID_LIMIT
-                            and not any(map(math.isnan, w))):
+        if arcs and not (0 <= min(src) and max(src) < num_states
+                         and 0 <= min(dst) and max(dst) < num_states
+                         and 0 <= min(il) and max(il) < ID_LIMIT
+                         and 0 <= min(ol) and max(ol) < ID_LIMIT
+                         and not any(map(math.isnan, w))):
             _reject_invalid_arc(arcs, num_states)
-        self._store(num_states, start, (array("q", src), array("q", dst), array("q", il),
-                                        array("q", ol), array("d", w)), final_weights)
+        self._store(num_states, start, columns, final_weights)
 
     @classmethod
     def _from_columns(cls, num_states: int, start: int, columns: tuple,
                       final_weights: dict[int, float]) -> "Wfst":
-        """A transducer on `columns`, which must hold valid arcs in stored order."""
+        """A transducer on `columns` (src, dst, ilabel, olabel, weight), which
+        must hold valid arcs, in any order."""
         _check_states(num_states, start, final_weights)
         self = cls.__new__(cls)
         self._store(num_states, start, columns, final_weights)
@@ -216,7 +205,16 @@ class Wfst:
                final_weights: dict[int, float]) -> None:
         self.num_states = num_states
         self.start = start
-        self.arc_src, self.arc_dst, self.arc_ilabel, self.arc_olabel, self.arc_weight = columns
+        # Stored order: grouped by source state, epsilon arcs first.  Sorting
+        # is stable, so equal keys (and weights -0.0 and 0.0) keep input order.
+        src, dst, il, ol, w = columns
+        if not all(starmap(le, pairwise(zip(src, il, dst, ol, w)))):
+            src, il, dst, ol, w = zip(*sorted(zip(src, il, dst, ol, w)))
+        # Columns that are arrays already (the parser's, in order) are kept,
+        # not copied.
+        self.arc_src, self.arc_dst, self.arc_ilabel, self.arc_olabel, self.arc_weight = (
+            column if isinstance(column, array) else array(code, column)
+            for code, column in zip("qqqqd", (src, dst, il, ol, w)))
         self.final_weights = {s: float(w) for s, w in final_weights.items() if w != ZERO}
 
         # The arcs are grouped by source state, so a state's offset is the
@@ -320,8 +318,9 @@ class Wfst:
 
     def has_structural_epsilon_cycle(self) -> bool:
         """True if the epsilon subgraph has any cycle, regardless of weight."""
-        order = _epsilon_topo_order(self, range(self.num_states))
-        return order is None
+        succ = {s: self.arc_dst[self.arc_offsets[s]:self.eps_split[s]]
+                for s in range(self.num_states)}
+        return _find_cycle(succ, self.num_states) is not None
 
     def to_text(self, isyms: SymbolTable | None = None,
                 osyms: SymbolTable | None = None) -> str:
@@ -456,11 +455,6 @@ class _GraphReader:
         # Label token -> id, for the tokens arc blocks have read.
         self.ilabel_ids: dict[str, int] = {}
         self.olabel_ids: dict[str, int] = {}
-        # Whether the columns are in stored order, and the stored-order key
-        # (src, ilabel, dst, olabel, weight) of their last arc; (-1,) sorts
-        # before every key.
-        self.in_order = True
-        self.last_key: tuple = (-1,)
 
     def arc_block(self, block: list[str]) -> int:
         """Append the block's leading run of 5-field arc lines to the columns,
@@ -504,11 +498,6 @@ class _GraphReader:
             return 0
         for column, values in zip(self.columns, (src, dst, il, ol, w)):
             column.fromlist(values)
-        if self.in_order:
-            keys = zip(src, il, dst, ol, w)
-            previous = chain((self.last_key,), zip(src, il, dst, ol, w))
-            self.in_order = all(map(le, previous, keys))
-        self.last_key = (src[-1], il[-1], dst[-1], ol[-1], w[-1])
         if self.start is None:
             self.start = src[0]
         self.max_state = max(self.max_state, top)
@@ -520,7 +509,6 @@ class _GraphReader:
         allow_negative_weights = self.allow_negative_weights
         finals = self.finals
         start, max_state = self.start, self.max_state
-        in_order, last_key = self.in_order, self.last_key
         src_col, dst_col, il_col, ol_col, w_col = self.columns
 
         def parse_state(tok: str, line_no: int) -> int:
@@ -569,17 +557,12 @@ class _GraphReader:
                 il_col.append(il)
                 ol_col.append(ol)
                 w_col.append(w)
-                key = (src, il, dst, ol, w)
-                if key < last_key:
-                    in_order = False
-                last_key = key
             elif self.oversized is None:
                 self.oversized = _new_arc(arc)
             if start is None:
                 start = src
             max_state = max(max_state, src, dst)
         self.start, self.max_state = start, max_state
-        self.in_order, self.last_key = in_order, last_key
 
     def finish(self) -> Wfst:
         """The transducer read, or the error `Wfst` raises on it."""
@@ -592,9 +575,7 @@ class _GraphReader:
             # ID_LIMIT: `Wfst` checks in this order, so one of these raises.
             _check_states(num_states, start, self.finals)
             _reject_invalid_arc([self.oversized], num_states)
-        if self.in_order:
-            return Wfst._from_columns(num_states, start, self.columns, self.finals)
-        return Wfst(num_states, start, list(map(_new_arc, zip(*self.columns))), self.finals)
+        return Wfst._from_columns(num_states, start, self.columns, self.finals)
 
 
 def _label_ids(tokens: list[str], table: SymbolTable | None,
@@ -617,33 +598,6 @@ def _label_ids(tokens: list[str], table: SymbolTable | None,
             return None
         known.update(zip(chain(named, numbers), ids))
     return list(map(known.__getitem__, tokens))
-
-
-def _epsilon_topo_order(w: Wfst, states) -> list[int] | None:
-    """Topological order of `states` under epsilon arcs, or None if cyclic."""
-    states = list(states)
-    in_set = set(states)
-    indeg = {s: 0 for s in states}
-    succ: dict[int, list[int]] = {s: [] for s in states}
-    for s in states:
-        for i in range(w.arc_offsets[s], w.eps_split[s]):
-            d = w.arc_dst[i]
-            if d in in_set:
-                succ[s].append(d)
-                indeg[d] += 1
-    ready = sorted(s for s in states if indeg[s] == 0)
-    order: list[int] = []
-    heapq.heapify(ready)
-    while ready:
-        s = heapq.heappop(ready)
-        order.append(s)
-        for d in succ[s]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(ready, d)
-    if len(order) != len(states):
-        return None
-    return order
 
 
 def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:

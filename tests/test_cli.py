@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from lsd_wfst import cli
-from lsd_wfst.decoder import DecodeResult
+from lsd_wfst.decoder import DecodeConfig, DecodeResult
 from lsd_wfst.lattice import load_lattice
+from lsd_wfst.posteriors import load_posteriors
 from lsd_wfst.wfst import parse_wfst_text
 
 ONE_ARC_GRAPH = "0 1 1 1 0.5\n1 0.0\n"
@@ -234,6 +235,22 @@ class TestGenCommand:
                         "--out-prefix", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("kind,flag,value,name", [
+        ("random", "--eps-fraction", "nan", "eps_fraction"),
+        ("random", "--eps-fraction", "1.5", "eps_fraction"),
+        ("random", "--final-fraction", "-2", "final_fraction"),
+        ("random", "--final-fraction", "nan", "final_fraction"),
+        ("random", "--labels", "0", "num_labels"),
+        ("chain", "--labels", "0", "num_labels"),
+        ("random", "--frames", "-1", "num_frames"),
+    ])
+    def test_bad_generator_parameter_exits_2(self, tmp_path, capsys, kind, flag, value, name):
+        code = run_cli(["gen", "--kind", kind, "--states", "4", flag, value,
+                        "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestBenchCommand:
     def _gen(self, tmp_path, frames=100, blank=0.9):
@@ -283,6 +300,41 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "speedup lsd-serial/lsd-parallel:" in out
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--modes", ",", "no bench mode given; known modes: fsd-serial, lsd-serial, "
+                         "lsd-parallel, fsd-parallel"),
+        ("--modes", "bogus", "unknown bench mode 'bogus'; known modes: fsd-serial,"),
+        ("--modes", "lsd-serial,bogus", "unknown bench mode 'bogus'"),
+        ("--repeats", "0", "must be >= 1, got 0"),
+    ], ids=["no-mode", "unknown-mode", "unknown-after-known", "zero-repeats"])
+    def test_bad_bench_flag_exits_2_before_reading_inputs(self, capsys, monkeypatch,
+                                                          flag, value, message):
+        import lsd_wfst.bench as bench_mod
+
+        def no_decode(*args):
+            raise AssertionError("decoded with a bad bench flag")
+
+        monkeypatch.setattr(bench_mod, "decode_lsd", no_decode)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--graph", "/nonexistent/g.txt", "--posts", "/nonexistent/p.txt",
+                     flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err and "nonexistent" not in err
+
+    @pytest.mark.parametrize("modes", [(), ("lsd-serial", "bogus")])
+    def test_run_bench_checks_every_mode_before_decoding(self, monkeypatch, modes):
+        import lsd_wfst.bench as bench_mod
+
+        def no_decode(*args):
+            raise AssertionError("decoded before checking every mode")
+
+        monkeypatch.setattr(bench_mod, "decode_lsd", no_decode)
+        graph = parse_wfst_text(ONE_ARC_GRAPH)
+        posts = load_posteriors(ONE_ARC_POSTS.encode())
+        with pytest.raises(ValueError, match="known modes: fsd-serial, lsd-serial"):
+            bench_mod.run_bench(graph, posts, DecodeConfig(), modes=modes, repeats=1)
 
     def test_step_count_violation_exits_4(self, tmp_path, capsys, monkeypatch):
         import lsd_wfst.bench as bench_mod

@@ -4,13 +4,16 @@
   that names the id, before any per-state table is allocated, and the CLI
   exits 2 on them.
 - Symbol tables reject negative ids, naming the line.
-- With blocks of 1-3 lines, so that block edges fall between arcs, at the
-  switch from arcs to final lines and across the order check, the parser
-  agrees with `tests/oracles.py`'s line-by-line reference on mutated
-  `Wfst.to_text` output: the same graph bit for bit, or the same error.
+- With blocks of 1-3 lines, so that block edges fall between arcs and at the
+  switch from arcs to final lines, the parser agrees with `tests/oracles.py`'s
+  line-by-line reference on mutated `Wfst.to_text` output: the same graph bit
+  for bit, or the same error.
 - The leading arc lines of a block go in columns: on `to_text` output that
   fits in one block, only the final lines reach the checking loop, and an
   error after the leading arcs names its own line.
+- Arcs are stored in (src, ilabel, dst, olabel, weight) order, ties kept in
+  input order, whether they come as an `Arc` list or as text in any order,
+  and parsing text out of that order makes no `Arc`.
 - A decode reads the columns only: it never builds `Wfst.arcs`.
 """
 
@@ -266,6 +269,69 @@ def test_unsorted_text_is_stored_sorted():
     assert list(w.arc_offsets) == [0, 2, 3, 4]
     assert list(w.eps_split) == [1, 2, 3]
     assert w.has_epsilon_arcs and w.max_ilabel == 2
+
+
+# Duplicate keys, both zeros, infinities and negative weights, so that ties in
+# the stored order are common and only a stable sort keeps the input order.
+_WEIGHTS = st.sampled_from([0.0, -0.0, 0.5, 0.25, math.inf, -0.5, -math.inf])
+
+
+@st.composite
+def _shuffled_arcs(draw):
+    states = draw(st.integers(1, 5))
+    arc = st.builds(Arc, st.integers(0, states - 1), st.integers(0, states - 1),
+                    st.integers(0, 3), st.integers(0, 3), _WEIGHTS)
+    arcs = draw(st.lists(arc, min_size=1, max_size=24))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=6))
+    return states, draw(st.permutations(arcs))
+
+
+def _stored(arcs):
+    return [(a.src, a.dst, a.ilabel, a.olabel, repr(a.weight)) for a in arcs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shuffled_arcs(), block=st.sampled_from([1, 2, 2048]))
+def test_arcs_are_stored_in_key_order(case, block):
+    states, arcs = case
+    want = sorted(arcs, key=lambda a: (a.src, a.ilabel, a.dst, a.olabel, a.weight))
+    offsets = [0]
+    for s in range(states):
+        offsets.append(offsets[-1] + sum(a.src == s for a in want))
+    eps_split = [offsets[s] + sum(a.src == s and a.ilabel == 0 for a in want)
+                 for s in range(states)]
+    graph = Wfst(states, arcs[0].src, arcs, {states - 1: 0.0})
+    assert _stored(graph.arcs) == _stored(want)
+    assert list(graph.arc_offsets) == offsets
+    assert list(graph.eps_split) == eps_split
+    # The same arcs as text, the start state's line first, in columns.
+    text = "".join(f"{a.src} {a.dst} {a.ilabel} {a.olabel} {a.weight!r}\n" for a in arcs)
+    with mock.patch.object(wfst_module, "_BLOCK_LINES", block):
+        parsed = parse_wfst_text(text + f"{states - 1}\n", allow_negative_weights=True)
+    assert (parsed.num_states, parsed.start) == (states, arcs[0].src)
+    assert _stored(parsed.arcs) == _stored(want)
+    assert list(parsed.arc_offsets) == offsets
+    assert list(parsed.eps_split) == eps_split
+
+
+def test_parsing_unsorted_text_makes_no_arc(monkeypatch):
+    graph = make_random_wfst(random.Random(8), num_states=40, num_arcs=160, num_labels=4,
+                             eps_fraction=0.4, selfloops=True)
+    lines = graph.to_text().splitlines()
+    arcs = lines[:graph.num_arcs]
+    shuffled = arcs[:1] + random.Random(9).sample(arcs[1:], len(arcs) - 1)
+    assert shuffled != arcs
+
+    def refuse(fields):
+        raise AssertionError("the parse built an Arc")
+
+    monkeypatch.setattr(wfst_module, "_new_arc", refuse)
+    for block in (7, 2048):
+        with mock.patch.object(wfst_module, "_BLOCK_LINES", block):
+            parsed = parse_wfst_text("\n".join(shuffled + lines[graph.num_arcs:]))
+        for column in ("arc_src", "arc_dst", "arc_ilabel", "arc_olabel", "arc_weight",
+                       "arc_offsets", "eps_split"):
+            assert getattr(parsed, column) == getattr(graph, column), column
 
 
 @pytest.fixture

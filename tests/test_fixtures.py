@@ -1,5 +1,6 @@
 """Fixture generators: validity, determinism, and prescribed blank content."""
 
+import math
 import random
 
 import numpy as np
@@ -34,6 +35,27 @@ def test_generators_deterministic_per_seed():
     pa = make_random_posteriors(random.Random(42), 20, 3, blank_fraction=0.5)
     pb = make_random_posteriors(random.Random(42), 20, 3, blank_fraction=0.5)
     np.testing.assert_array_equal(pa.rows, pb.rows)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("eps_fraction", math.nan), ("eps_fraction", -0.1), ("eps_fraction", 1.5),
+    ("final_fraction", math.nan), ("final_fraction", -2.0), ("final_fraction", math.inf),
+    ("num_labels", 0),
+])
+def test_bad_random_graph_parameters_raise_before_drawing(name, value):
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make_random_wfst(rng, **{name: value})
+    assert rng.getstate() == random.Random(5).getstate()
+
+
+def test_bad_frame_or_label_counts_raise_before_drawing():
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match="^num_frames must be >= 0, got -1"):
+        make_random_posteriors(rng, -1, 3)
+    assert rng.getstate() == random.Random(5).getstate()
+    with pytest.raises(ValueError, match="^num_labels must be >= 1, got 0"):
+        make_chain(3, num_labels=0)
 
 
 def test_posteriors_rows_normalized_and_positive():

@@ -197,6 +197,10 @@ class TestEpsilonValidation:
         acyclic = parse_wfst_text("0 1 0 0 0.5\n1 0.0")
         assert not acyclic.has_structural_epsilon_cycle()
 
+    def test_structural_check_sees_epsilon_self_loops(self):
+        assert parse_wfst_text("0 0 0 0 0.5\n0").has_structural_epsilon_cycle()
+        assert not parse_wfst_text("0 0 1 0 0.5\n0").has_structural_epsilon_cycle()
+
 
 class TestSymbolTable:
     def test_parse_and_lookup(self):
@@ -208,10 +212,6 @@ class TestSymbolTable:
     def test_id_zero_must_be_eps(self):
         with pytest.raises(ParseError):
             SymbolTable.parse("a 0\n")
-
-    def test_blank_id_detected(self):
-        table = SymbolTable.parse("<eps> 0\n<blank> 3\n")
-        assert table.blank_id == 3
 
     def test_duplicate_mapping_rejected(self):
         with pytest.raises(ParseError):
