@@ -51,11 +51,19 @@ class BenchReport:
 
 
 def check_modes(modes: tuple[str, ...]) -> None:
-    """Raise ValueError unless `modes` is a non-empty tuple of names in `MODES`."""
+    """Raise ValueError unless `modes` is a non-empty tuple of distinct names
+    in `MODES`."""
     unknown = [m for m in modes if m not in MODES]
-    if not modes or unknown:
-        found = f"unknown bench mode {unknown[0]!r}" if unknown else "no bench mode given"
-        raise ValueError(f"{found}; known modes: {', '.join(MODES)}")
+    repeated = [m for i, m in enumerate(modes) if m in modes[:i]]
+    if not modes:
+        found = "no bench mode given"
+    elif unknown:
+        found = f"unknown bench mode {unknown[0]!r}"
+    elif repeated:
+        found = f"bench mode {repeated[0]!r} given twice"
+    else:
+        return
+    raise ValueError(f"{found}; known modes: {', '.join(MODES)}")
 
 
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,

@@ -10,6 +10,7 @@ the posterior matrix instead.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .posteriors import PosteriorMatrix, save_posteriors
 from .wfst import Arc, SymbolTable, Wfst
@@ -117,6 +118,15 @@ def make_random_wfst(rng: random.Random, num_states: int = 8, num_arcs: int = 16
     return Wfst(num_states, 0, arcs, finals)
 
 
+def _check_posterior_params(num_frames: int, num_labels: int, blank_fraction: float) -> None:
+    if num_frames < 0:
+        raise ValueError(f"num_frames must be >= 0, got {num_frames}")
+    if num_labels < 1:
+        raise ValueError(f"num_labels must be >= 1, got {num_labels}")
+    if not 0.0 <= blank_fraction <= 1.0:
+        raise ValueError(f"blank_fraction must be in [0, 1], got {blank_fraction}")
+
+
 def make_random_posteriors(rng: random.Random, num_frames: int, num_labels: int,
                            blank_fraction: float = 0.0, blank_col: int = 0,
                            blank_prob: float = 0.995, peak: float = 0.9,
@@ -131,12 +141,7 @@ def make_random_posteriors(rng: random.Random, num_frames: int, num_labels: int,
     frames often enough to exercise self-loops.  Every entry stays strictly
     positive so no path is killed outright.
     """
-    if num_frames < 0:
-        raise ValueError(f"num_frames must be >= 0, got {num_frames}")
-    if num_labels < 1:
-        raise ValueError("need at least one non-blank label")
-    if not 0.0 <= blank_fraction <= 1.0:
-        raise ValueError(f"blank_fraction must be in [0, 1], got {blank_fraction}")
+    _check_posterior_params(num_frames, num_labels, blank_fraction)
     num_cols = num_labels + 1
     if not 0 <= blank_col < num_cols:
         raise ValueError(f"blank_col {blank_col} out of range for {num_cols} columns")
@@ -173,6 +178,7 @@ def generate_fixture(kind: str, out_prefix: str, seed: int = 0,
     Kinds: "chain" (states, frames, blank_fraction), "diamond" (frames),
     "random" (states, arcs, labels, frames, blank_fraction, eps_fraction,
     selfloops, final_fraction).  Deterministic per seed, byte for byte.
+    The posterior parameters are checked before the graph is drawn.
     """
     rng = random.Random(seed)
     kind = kind.lower()
@@ -183,18 +189,20 @@ def generate_fixture(kind: str, out_prefix: str, seed: int = 0,
         states = int(params.pop("states", 4))
         labels = int(params.pop("labels", max(1, states - 1)))
         params.setdefault("selfloops", False)
-        graph = make_chain(states, labels, **params)
+        make_graph = partial(make_chain, states, labels)
     elif kind == "diamond":
         labels = 4
-        graph = make_diamond(**params)
+        make_graph = make_diamond
     elif kind == "random":
         states = int(params.pop("states", 8))
         arcs = int(params.pop("arcs", 3 * states))
         labels = int(params.pop("labels", 3))
-        graph = make_random_wfst(rng, states, arcs, labels, **params)
+        make_graph = partial(make_random_wfst, rng, states, arcs, labels)
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
 
+    _check_posterior_params(frames, labels, blank_fraction)
+    graph = make_graph(**params)
     posts = make_random_posteriors(rng, frames, labels, blank_fraction=blank_fraction)
     syms = make_symbols(labels)
 

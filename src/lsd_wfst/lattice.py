@@ -7,8 +7,9 @@ the per-state winner, so the built lattice holds every surviving path and
 the Viterbi path is one of them.
 
 Construction and pruning work on plain tuple node keys: (step, state) for a
-node, and (step, state, prefix cost) for a copy split off it by path-exact
-pruning, which sorts right after the node it shares (step, state) with.
+built node, (step, state, node id) for a node being pruned, so that pruning
+keeps every input node apart, and that key plus a prefix cost for a copy
+split off it by path-exact pruning, which sorts right after its node.
 One renumbering, `_renumber`, turns keys and arcs into a `Lattice` for the
 build, for stage one of pruning and for the path-exact split alike: the
 start node first, the other nodes by ascending key, the arcs in one
@@ -16,14 +17,14 @@ canonical order.
 
 Pruning is an exact forward-backward pass: an arc survives iff it lies on
 some complete path within `lattice_beam` of the best, and the result is
-trimmed so every node sits on a surviving path.  The best path is taken
-over (step, state) nodes, with split copies merged, so it reproduces the
-decoder on raw and pruned lattices alike.
+trimmed so every node sits on a surviving path.  Each pass takes a min or
+a max over each node's arcs, so any topological order serves.  Only the
+best path merges split copies back into one (step, state) node, so it
+reproduces the decoder on raw and pruned lattices alike.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass, field
@@ -81,12 +82,6 @@ class Lattice:
         adj: list[list[LatticeArc]] = [[] for _ in self.nodes]
         for a in self.arcs:
             adj[a.from_id].append(a)
-        return adj
-
-    def in_adjacency(self) -> list[list[LatticeArc]]:
-        adj: list[list[LatticeArc]] = [[] for _ in self.nodes]
-        for a in self.arcs:
-            adj[a.to_id].append(a)
         return adj
 
 
@@ -168,8 +163,9 @@ def _assemble(arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> La
 
 def _renumber(keys, arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> Lattice:
     """The lattice on node `keys`: `start` is node 0 and the other keys follow
-    in ascending order, so a split copy (step, state, prefix cost) comes
-    right after its shared (step, state) node; arcs are sorted canonically."""
+    in ascending order, so a split copy (key + prefix cost) comes right after
+    its node.  Keys and arcs sort by (step, state) first, so unique (step,
+    state) pairs renumber the same whatever else the keys hold."""
     ordered = [start] + sorted(k for k in keys if k != start)
     ids = {k: i for i, k in enumerate(ordered)}
     arcs = sorted(arcs, key=lambda a: (a[0][:2], a[1][:2], a[2], a[3], a[6], ids[a[0]], ids[a[1]]))
@@ -226,36 +222,27 @@ def build_lattice(recorder: LatticeRecorder, wfst: Wfst) -> Lattice:
 
 
 def _topo_order(lat: Lattice) -> list[int]:
-    """Nodes by ascending step, epsilon-topologically sorted within a step."""
-    by_step: dict[int, list[int]] = {}
-    for i, n in enumerate(lat.nodes):
-        by_step.setdefault(n.step, []).append(i)
-
-    eps_succ: dict[int, list[int]] = {}
+    """Nodes in a topological order (Kahn's algorithm): each arc's source
+    before its target.  Arcs never go back a step, so a cycle lies within
+    one step; the error names the lowest step among the unordered nodes,
+    which holds one."""
+    indeg = [0] * lat.num_nodes
+    succ: list[list[int]] = [[] for _ in lat.nodes]
     for a in lat.arcs:
-        if lat.nodes[a.from_id].step == lat.nodes[a.to_id].step:
-            eps_succ.setdefault(a.from_id, []).append(a.to_id)
-
+        indeg[a.to_id] += 1
+        succ[a.from_id].append(a.to_id)
+    ready = [i for i, d in enumerate(indeg) if d == 0]
     order: list[int] = []
-    for step in sorted(by_step):
-        members = by_step[step]
-        indeg = {i: 0 for i in members}
-        for i in members:
-            for j in eps_succ.get(i, ()):
-                indeg[j] += 1
-        heap = [(lat.nodes[i].state, i) for i in members if indeg[i] == 0]
-        heapq.heapify(heap)
-        emitted = 0
-        while heap:
-            _, i = heapq.heappop(heap)
-            order.append(i)
-            emitted += 1
-            for j in eps_succ.get(i, ()):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(heap, (lat.nodes[j].state, j))
-        if emitted != len(members):
-            raise LatticeError(f"epsilon cycle among lattice nodes at step {step}")
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    if len(order) != lat.num_nodes:
+        step = min(n.step for n, d in zip(lat.nodes, indeg) if d)
+        raise LatticeError(f"epsilon cycle among lattice nodes at step {step}")
     return order
 
 
@@ -296,13 +283,14 @@ def prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
     """Keep exactly the paths with total cost within `lattice_beam` of the best.
 
     Stage one drops every arc and final not lying on some within-beam path,
-    using exact forward-backward min-sums, and trims, merging nodes by
-    (step, state).  Arc-level pruning alone can still admit recombined paths
-    above the beam (a cheap-prefix arc joined to a cheap-suffix arc through
-    a shared node), so a second stage splits exactly the nodes where that
-    can happen on their realized prefix costs.  Split copies share a
-    (state, step) identity; lattices straight from the builder keep
-    (state, step) unique.
+    using exact forward-backward min-sums, and trims.  Arc-level pruning
+    alone can still admit recombined paths above the beam (a cheap-prefix
+    arc joined to a cheap-suffix arc through a shared node), so a second
+    stage splits exactly the nodes where that can happen on their realized
+    prefix costs.  Split copies share a (state, step) identity; lattices
+    straight from the builder keep (state, step) unique.  Both stages keep
+    every input node apart, copies of an earlier prune included, so
+    re-pruning a pruned lattice only ever drops paths.
     """
     if not lattice_beam >= 0:
         raise ValueError(f"lattice_beam must be >= 0, got {lattice_beam}")
@@ -317,7 +305,7 @@ def prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
         return EMPTY_LATTICE
     cutoff = best + lattice_beam + COST_EPS
 
-    keys = [(n.step, n.state) for n in lat.nodes]
+    keys = [(n.step, n.state, i) for i, n in enumerate(lat.nodes)]
     raw = [
         (keys[a.from_id], keys[a.to_id], a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie)
         for a in lat.arcs
@@ -350,9 +338,9 @@ def _enforce_path_soundness(lat: Lattice, cutoff: float) -> Lattice:
     bw_min = _backward(lat, order, out)
 
     # Explore (key, node id, prefix cost) triples.  A shared node keeps its
-    # (step, state) key and no prefix cost, and once a path enters a shared
-    # node it stays shared; a split copy's key appends its prefix cost.
-    keys = [(n.step, n.state) for n in lat.nodes]
+    # (step, state, node id) key and no prefix cost, and once a path enters a
+    # shared node it stays shared; a split copy's key appends its prefix cost.
+    keys = [(n.step, n.state, i) for i, n in enumerate(lat.nodes)]
     i = lat.start_id
     start = (keys[i], i, None) if safe[i] else (keys[i] + (0.0,), i, 0.0)
     seen = {start[0]}
@@ -388,13 +376,14 @@ def _enforce_path_soundness(lat: Lattice, cutoff: float) -> Lattice:
 def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """Minimum-cost start-to-final path: (cost, olabels, ilabels).
 
-    Nodes sharing (step, state) are taken to be split copies of one node,
-    as in `prune_lattice`; they share their final weight, and are merged
-    back into that node first, so ties resolve by (cost, predecessor
-    state id, arc tie index) per node and by lower state id at the finals,
-    matching the decoder exactly: the result coincides with DecodeResult on
-    lattices built from a decode, pruned or not.  The best merged path is
-    within any prune's cutoff, so it is a path of the split lattice too.
+    This is the one place that takes nodes sharing (step, state) to be split
+    copies of one node: they share their final weight, and are merged back
+    into that node first, so ties resolve by (cost, predecessor state id,
+    arc tie index) per node and by lower state id at the finals, matching
+    the decoder exactly: the result coincides with DecodeResult on lattices
+    built from a decode, pruned or not.  The best merged path is within any
+    prune's cutoff, so it is a path of the split lattice too.  Each node
+    keeps its least entry key, so any topological order serves.
     """
     if lat.is_empty:
         raise LatticeError("cannot extract a best path from an empty lattice")
@@ -402,38 +391,28 @@ def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, 
     lat = _renumber(set(keys), [(keys[a.from_id], keys[a.to_id], a.ilabel, a.olabel,
                                  a.graph_cost, a.acoustic_cost, a.tie) for a in lat.arcs],
                     keys[lat.start_id], {keys[i]: w for i, w in lat.finals.items()})
-    order = _topo_order(lat)
-    in_adj = lat.in_adjacency()
-    dist = [INF] * lat.num_nodes
-    back: list[LatticeArc | None] = [None] * lat.num_nodes
-    dist[lat.start_id] = 0.0
-
+    out = lat.out_adjacency()
     nodes = lat.nodes
-    for i in order:
-        if i == lat.start_id:
-            continue  # the origin keeps cost 0 and no backpointer
-        best_key = None
-        best_arc = None
-        for a in in_adj[i]:
-            base = dist[a.from_id]
-            if base == INF:
-                continue
-            c = base + a.graph_cost + a.acoustic_cost
-            key = (c, nodes[a.from_id].state, a.tie)
-            if best_key is None or key < best_key:
-                best_key, best_arc = key, a
-        if best_key is not None:
-            dist[i] = best_key[0]
-            back[i] = best_arc
+    # The least (cost, predecessor state, arc tie) entering each node; the
+    # origin keeps cost 0 and no backpointer.
+    entry = [(INF,)] * lat.num_nodes
+    entry[lat.start_id] = (0.0,)
+    back: list[LatticeArc | None] = [None] * lat.num_nodes
+    for i in _topo_order(lat):
+        base = entry[i][0]
+        if base == INF:
+            continue
+        state = nodes[i].state
+        for a in out[i]:
+            key = (base + a.graph_cost + a.acoustic_cost, state, a.tie)
+            if key < entry[a.to_id] and a.to_id != lat.start_id:
+                entry[a.to_id], back[a.to_id] = key, a
 
-    best_final = None
-    best_total = INF
+    best_final, best_total = None, INF
     for i, w in sorted(lat.finals.items(), key=lambda kv: nodes[kv[0]].state):
-        total = dist[i] + w
-        if total < best_total:
-            best_total = total
-            best_final = i
-    if best_final is None or best_total == INF:
+        if entry[i][0] + w < best_total:
+            best_final, best_total = i, entry[i][0] + w
+    if best_final is None:
         raise LatticeError("lattice has no complete start-to-final path")
 
     olabels: list[int] = []

@@ -122,3 +122,25 @@ def grid_instance(seed: int):
     lattice pruning splits nodes, and split copies tie, more often."""
     return random_instance(seed, max_states=8, max_arcs=24, max_frames=5,
                            eps_fraction=0.4, blank_fraction=0.3, weight_grid=GRID)
+
+
+def capped_lattice_paths(lat, cap: int = 50_000):
+    """(cost, olabels) of every start-to-final path in a lattice, summed as
+    `oracles.enumerate_lattice_paths` sums them; fails the test once there
+    are more than `cap`, so that a lattice that blew up fails fast."""
+    out = []
+    if lat.is_empty:
+        return out
+    adjacency = lat.out_adjacency()
+    stack = [(lat.start_id, 0.0, ())]
+    while stack:
+        node, cost, olabs = stack.pop()
+        w = lat.finals.get(node)
+        if w is not None:
+            out.append((cost + w, olabs))
+            if len(out) > cap:
+                pytest.fail(f"lattice holds more than {cap} paths")
+        for a in adjacency[node]:
+            stack.append((a.to_id, cost + a.graph_cost + a.acoustic_cost,
+                          olabs + (a.olabel,) if a.olabel != 0 else olabs))
+    return out

@@ -8,9 +8,11 @@ import pytest
 
 from lsd_wfst import cli
 from lsd_wfst.decoder import DecodeConfig, DecodeResult
-from lsd_wfst.lattice import load_lattice
-from lsd_wfst.posteriors import load_posteriors
+from lsd_wfst.lattice import lattice_best_path, load_lattice
+from lsd_wfst.posteriors import load_posteriors, save_posteriors
 from lsd_wfst.wfst import parse_wfst_text
+
+from conftest import capped_lattice_paths, grid_instance
 
 ONE_ARC_GRAPH = "0 1 1 1 0.5\n1 0.0\n"
 ONE_ARC_POSTS = "1 2 blank=0\n0.5 0.5\n"
@@ -307,7 +309,8 @@ class TestBenchCommand:
         ("--modes", "bogus", "unknown bench mode 'bogus'; known modes: fsd-serial,"),
         ("--modes", "lsd-serial,bogus", "unknown bench mode 'bogus'"),
         ("--repeats", "0", "must be >= 1, got 0"),
-    ], ids=["no-mode", "unknown-mode", "unknown-after-known", "zero-repeats"])
+        ("--modes", "lsd-serial,fsd-serial,lsd-serial", "bench mode 'lsd-serial' given twice"),
+    ], ids=["no-mode", "unknown-mode", "unknown-after-known", "zero-repeats", "repeated-mode"])
     def test_bad_bench_flag_exits_2_before_reading_inputs(self, capsys, monkeypatch,
                                                           flag, value, message):
         import lsd_wfst.bench as bench_mod
@@ -335,6 +338,19 @@ class TestBenchCommand:
         posts = load_posteriors(ONE_ARC_POSTS.encode())
         with pytest.raises(ValueError, match="known modes: fsd-serial, lsd-serial"):
             bench_mod.run_bench(graph, posts, DecodeConfig(), modes=modes, repeats=1)
+
+    def test_run_bench_rejects_a_repeated_mode(self, monkeypatch):
+        import lsd_wfst.bench as bench_mod
+
+        def no_decode(*args):
+            raise AssertionError("decoded with a repeated mode")
+
+        monkeypatch.setattr(bench_mod, "decode_lsd", no_decode)
+        graph = parse_wfst_text(ONE_ARC_GRAPH)
+        posts = load_posteriors(ONE_ARC_POSTS.encode())
+        with pytest.raises(ValueError, match="^bench mode 'lsd-serial' given twice"):
+            bench_mod.run_bench(graph, posts, DecodeConfig(),
+                                modes=("lsd-serial", "lsd-serial"), repeats=2)
 
     def test_step_count_violation_exits_4(self, tmp_path, capsys, monkeypatch):
         import lsd_wfst.bench as bench_mod
@@ -392,6 +408,28 @@ class TestLatticeCommand:
         assert run_cli(["lattice", "--lattice-in", str(lat_path),
                         "--osyms", one_arc_files["syms"]]) == 0
         assert capsys.readouterr().out == "a 8.1275\n"
+
+    def test_wider_reprune_of_a_split_lattice_adds_no_path(self, tmp_path, capsys):
+        wfst, posts = grid_instance(3)
+        graph, post_path = tmp_path / "g.txt", tmp_path / "p.bin"
+        graph.write_text(wfst.to_text())
+        save_posteriors(posts, str(post_path), binary=True)
+        split_path, again_path = tmp_path / "split.lat", tmp_path / "again.lat"
+        assert run_cli(["decode", "--graph", str(graph), "--posts", str(post_path),
+                        "--mode", "fsd", "--lattice-out", str(split_path),
+                        "--lattice-beam", "0.75"]) == 0
+        capsys.readouterr()
+        split = load_lattice(str(split_path))
+        assert len({(n.step, n.state) for n in split.nodes}) < split.num_nodes
+        assert run_cli(["lattice", "--lattice-in", str(split_path)]) == 0
+        best = capsys.readouterr().out
+        assert run_cli(["lattice", "--lattice-in", str(split_path), "--lattice-beam", "2.5",
+                        "--lattice-out", str(again_path)]) == 0
+        assert capsys.readouterr().out == best
+        again = load_lattice(str(again_path))
+        assert lattice_best_path(again) == lattice_best_path(split)
+        kept = {(round(c, 9), o) for c, o in capped_lattice_paths(split)}
+        assert {(round(c, 9), o) for c, o in capped_lattice_paths(again)} <= kept
 
 
 @pytest.mark.parametrize("command", ["decode", "bench"])

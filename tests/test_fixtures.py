@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from lsd_wfst import fixtures
 from lsd_wfst.fixtures import (
+    generate_fixture,
     make_chain,
     make_diamond,
     make_random_posteriors,
@@ -56,6 +58,22 @@ def test_bad_frame_or_label_counts_raise_before_drawing():
     assert rng.getstate() == random.Random(5).getstate()
     with pytest.raises(ValueError, match="^num_labels must be >= 1, got 0"):
         make_chain(3, num_labels=0)
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"frames": -1}, "num_frames must be >= 0, got -1"),
+    ({"labels": 0}, "num_labels must be >= 1, got 0"),
+    ({"blank_fraction": math.nan}, "blank_fraction must be in"),
+])
+def test_generate_fixture_checks_posteriors_before_the_graph(tmp_path, monkeypatch,
+                                                             params, message):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("drew the graph before checking the posterior parameters")
+
+    monkeypatch.setattr(fixtures, "make_random_wfst", no_graph)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        generate_fixture("random", str(tmp_path / "x"), **params)
+    assert not list(tmp_path.iterdir())
 
 
 def test_posteriors_rows_normalized_and_positive():

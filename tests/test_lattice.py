@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsd_wfst.decoder import DecodeConfig, decode, decode_fsd, decode_lsd
 from lsd_wfst.fixtures import make_chain, make_random_posteriors, make_random_wfst
@@ -12,6 +14,7 @@ from lsd_wfst.lattice import (
     EMPTY_LATTICE,
     LatticeError,
     LatticeRecorder,
+    _topo_order,
     build_lattice,
     format_lattice_text,
     lattice_best_path,
@@ -20,10 +23,19 @@ from lsd_wfst.lattice import (
 )
 from lsd_wfst.wfst import parse_wfst_text
 
-from conftest import grid_instance, posteriors_from_rows, random_instance, uniform_posteriors
+from conftest import (
+    capped_lattice_paths,
+    grid_instance,
+    posteriors_from_rows,
+    random_instance,
+    tie_heavy_instances,
+    uniform_posteriors,
+)
 from oracles import assert_same_paths, enumerate_lattice_paths, enumerate_paths
 
 INF = math.inf
+COST_TOL = 1e-9
+SMALL_INSTANCES = st.one_of(tie_heavy_instances(), st.integers(0, 2**32 - 1).map(grid_instance))
 
 
 def decode_with_lattice(wfst, posts, cfg):
@@ -264,6 +276,69 @@ def test_pruned_best_path_equals_decoder():
                 cost, olabels, ilabels = lattice_best_path(prune_lattice(lat, lattice_beam))
                 assert (cost.hex(), olabels, ilabels) == want, (seed, mode, max_active,
                                                                lattice_beam)
+
+
+def _distinct_paths(lat):
+    return {(round(c, 9), o) for c, o in capped_lattice_paths(lat)}
+
+
+class TestReprune:
+    """Pruning keeps the input's nodes apart, split copies included, so a
+    re-prune at any beam only drops paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_INSTANCES, st.sampled_from(["fsd", "lsd"]),
+           st.sampled_from([0.0, 0.75, 1.5, 2.5]), st.sampled_from([0.0, 0.75, 1.5, 2.5]))
+    def test_reprune_equals_one_prune_at_the_narrower_beam(self, instance, mode, b1, b2):
+        try:
+            _, lat = decode_with_lattice(*instance, DecodeConfig(mode=mode))
+        except LatticeError:  # an epsilon cycle kept within one step
+            return
+        twice = prune_lattice(prune_lattice(lat, b1), b2)
+        assert_same_paths(capped_lattice_paths(twice),
+                          capped_lattice_paths(prune_lattice(lat, min(b1, b2))), COST_TOL)
+
+    def test_wider_reprune_of_a_split_lattice_keeps_its_paths(self):
+        result, lat = decode_with_lattice(*grid_instance(3), DecodeConfig(mode="fsd"))
+        split = prune_lattice(lat, 0.75)
+        assert len({(n.step, n.state) for n in split.nodes}) < split.num_nodes
+        paths = _distinct_paths(split)
+        assert len(paths) == 12
+        again = prune_lattice(split, 2.5)
+        assert _distinct_paths(again) == paths
+        assert lattice_best_path(again)[1:] == (result.olabels, result.ilabels)
+
+
+class TestTopoOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_INSTANCES, st.sampled_from(["fsd", "lsd"]),
+           st.sampled_from([INF, 0.0, 0.75, 2.5]))
+    def test_every_arc_goes_forward_in_the_order(self, instance, mode, lattice_beam):
+        try:
+            _, lat = decode_with_lattice(*instance, DecodeConfig(mode=mode))
+        except LatticeError:  # an epsilon cycle kept within one step
+            return
+        for each in (lat, prune_lattice(lat, lattice_beam)):
+            order = _topo_order(each)
+            assert sorted(order) == list(range(each.num_nodes))
+            position = {i: k for k, i in enumerate(order)}
+            for a in each.arcs:
+                assert position[a.from_id] < position[a.to_id], a
+
+    def test_cycle_error_names_the_lowest_cyclic_step(self):
+        # Epsilon cycles 3 <-> 4 at step 1 and 1 <-> 2 at step 2; node 5 is
+        # downstream of the step-1 cycle, and node ids do not follow steps.
+        lat = parse_lattice_text(
+            "LATTICE nodes=8 arcs=10\n"
+            "N 0 0 0\nN 1 5 2\nN 2 6 2\nN 3 1 1\nN 4 2 1\nN 5 7 2\n"
+            "N 6 9 3 final 0.0\nN 7 3 1\n"
+            "A 0 3 1 1 0.5 0.5\nA 3 4 0 0 0.5 0.0\nA 4 3 0 0 0.5 0.0\n"
+            "A 4 5 1 1 0.5 0.5\nA 5 6 1 1 0.5 0.5\nA 0 7 1 1 0.5 0.5\n"
+            "A 7 1 1 1 0.5 0.5\nA 1 2 0 0 0.5 0.0\nA 2 1 0 0 0.5 0.0\n"
+            "A 2 6 1 1 0.5 0.5\n")
+        with pytest.raises(LatticeError,
+                           match=r"^epsilon cycle among lattice nodes at step 1$"):
+            _topo_order(lat)
 
 
 class TestLatticeText:
