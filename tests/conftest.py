@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -124,23 +125,56 @@ def grid_instance(seed: int):
                            eps_fraction=0.4, blank_fraction=0.3, weight_grid=GRID)
 
 
-def capped_lattice_paths(lat, cap: int = 50_000):
-    """(cost, olabels) of every start-to-final path in a lattice, summed as
-    `oracles.enumerate_lattice_paths` sums them; fails the test once there
-    are more than `cap`, so that a lattice that blew up fails fast."""
-    out = []
+def lattice_path_counts(lat) -> Counter:
+    """How many start-to-final paths a lattice holds per (cost, olabels),
+    costs summed along each path as `oracles.enumerate_lattice_paths` sums
+    them. Counted node by node in an order of its own, not the library's
+    `_topo_order`, so that a lattice of millions of paths needs no listing."""
+    paths = Counter()
     if lat.is_empty:
-        return out
+        return paths
+    indegree = [0] * lat.num_nodes
+    for a in lat.arcs:
+        indegree[a.to_id] += 1
     adjacency = lat.out_adjacency()
-    stack = [(lat.start_id, 0.0, ())]
-    while stack:
-        node, cost, olabs = stack.pop()
+    prefixes = [Counter() for _ in range(lat.num_nodes)]
+    prefixes[lat.start_id][(0.0, ())] = 1
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    done = 0
+    while ready:
+        node = ready.pop()
+        done += 1
         w = lat.finals.get(node)
-        if w is not None:
-            out.append((cost + w, olabs))
-            if len(out) > cap:
-                pytest.fail(f"lattice holds more than {cap} paths")
+        for (cost, olabs), n in prefixes[node].items():
+            if w is not None:
+                paths[(cost + w, olabs)] += n
+            for a in adjacency[node]:
+                prefixes[a.to_id][(cost + a.graph_cost + a.acoustic_cost,
+                                   olabs + (a.olabel,) if a.olabel != 0 else olabs)] += n
         for a in adjacency[node]:
-            stack.append((a.to_id, cost + a.graph_cost + a.acoustic_cost,
-                          olabs + (a.olabel,) if a.olabel != 0 else olabs))
-    return out
+            indegree[a.to_id] -= 1
+            if indegree[a.to_id] == 0:
+                ready.append(a.to_id)
+    assert done == lat.num_nodes, "lattice has a cycle"
+    return paths
+
+
+def assert_same_path_counts(actual: Counter, expected: Counter, tol: float) -> None:
+    """`oracles.assert_same_paths` for two `lattice_path_counts` results: the
+    path lists sorted by (olabels, cost), each key repeated by its count,
+    must pair off with equal labels and costs within `tol`."""
+    a = sorted(actual.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    b = sorted(expected.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    total_a, total_b = sum(actual.values()), sum(expected.values())
+    assert total_a == total_b, f"path count {total_a} != {total_b}"
+    i = j = used_a = used_b = 0
+    while i < len(a):
+        ((ca, la), na), ((cb, lb), nb) = a[i], b[j]
+        assert la == lb, f"label mismatch: {la} vs {lb}"
+        assert abs(ca - cb) <= tol, f"cost mismatch for {la}: {ca} vs {cb}"
+        step = min(na - used_a, nb - used_b)
+        used_a, used_b = used_a + step, used_b + step
+        if used_a == na:
+            i, used_a = i + 1, 0
+        if used_b == nb:
+            j, used_b = j + 1, 0

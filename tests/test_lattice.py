@@ -24,8 +24,9 @@ from lsd_wfst.lattice import (
 from lsd_wfst.wfst import parse_wfst_text
 
 from conftest import (
-    capped_lattice_paths,
+    assert_same_path_counts,
     grid_instance,
+    lattice_path_counts,
     posteriors_from_rows,
     random_instance,
     tie_heavy_instances,
@@ -279,7 +280,7 @@ def test_pruned_best_path_equals_decoder():
 
 
 def _distinct_paths(lat):
-    return {(round(c, 9), o) for c, o in capped_lattice_paths(lat)}
+    return {(round(c, 9), o) for c, o in lattice_path_counts(lat)}
 
 
 class TestReprune:
@@ -295,8 +296,8 @@ class TestReprune:
         except LatticeError:  # an epsilon cycle kept within one step
             return
         twice = prune_lattice(prune_lattice(lat, b1), b2)
-        assert_same_paths(capped_lattice_paths(twice),
-                          capped_lattice_paths(prune_lattice(lat, min(b1, b2))), COST_TOL)
+        assert_same_path_counts(lattice_path_counts(twice),
+                                lattice_path_counts(prune_lattice(lat, min(b1, b2))), COST_TOL)
 
     def test_wider_reprune_of_a_split_lattice_keeps_its_paths(self):
         result, lat = decode_with_lattice(*grid_instance(3), DecodeConfig(mode="fsd"))
