@@ -11,16 +11,17 @@ built node, (step, state, node id) for a node being pruned, so that pruning
 keeps every input node apart, and that key plus a prefix cost for a copy
 split off it by path-exact pruning, which sorts right after its node.
 One renumbering, `_renumber`, turns keys and arcs into a `Lattice` for the
-build, for stage one of pruning and for the path-exact split alike: the
-start node first, the other nodes by ascending key, the arcs in one
-canonical order.
+build and for pruning alike: the start node first, the other nodes by
+ascending key, the arcs in one canonical order.
 
 Pruning is an exact forward-backward pass: an arc survives iff it lies on
-some complete path within `lattice_beam` of the best, and the result is
-trimmed so every node sits on a surviving path.  Each pass takes a min or
-a max over each node's arcs, so any topological order serves.  Only the
-best path merges split copies back into one (step, state) node, so it
-reproduces the decoder on raw and pruned lattices alike.
+some complete path within `lattice_beam` of the best, and one walk from the
+start splits the nodes where surviving arcs would recombine into a path
+above the beam and trims the result, so every node sits on a surviving
+path.  Each pass takes a min or a max over each node's arcs, so any
+topological order serves.  Only the best path merges split copies back into
+one (step, state) node, so it reproduces the decoder on raw and pruned
+lattices alike.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class LatticeArc:
     olabel: int
     graph_cost: float
     acoustic_cost: float
-    # Originating WFST arc index when built, line order when parsed; only a
-    # deterministic tie-break, so it is excluded from structural equality.
+    # Originating WFST arc index when built, line order when parsed; it only
+    # orders parallel arcs in the canonical text, so it is excluded from
+    # structural equality.
     tie: int = field(compare=False, default=0)
 
 
@@ -200,7 +202,7 @@ def build_lattice(recorder: LatticeRecorder, wfst: Wfst) -> Lattice:
                 dst = dst_of[ai]
                 if src in prev and dst in surv:
                     append(((k - 1, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], ac, ai))
-        for src, ai in sorted(rec.eps):
+        for src, ai in rec.eps:
             dst = dst_of[ai]
             if src in surv and dst in surv and dst != src:
                 append(((k, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], 0.0, ai))
@@ -247,8 +249,9 @@ def _topo_order(lat: Lattice) -> list[int]:
 
 
 def _forward(lat: Lattice, order: list[int], out, worst: float = INF) -> list[float]:
-    """Best prefix cost per node: the minimum for `worst=INF`, the maximum
-    for `worst=-INF`; `worst` marks nodes no path reaches."""
+    """Best prefix cost per node over the arcs in `out`: the minimum for
+    `worst=INF`, the maximum for `worst=-INF`; `worst` marks nodes no path
+    reaches."""
     better = operator.lt if worst == INF else operator.gt
     fw = [worst] * lat.num_nodes
     fw[lat.start_id] = 0.0
@@ -263,11 +266,12 @@ def _forward(lat: Lattice, order: list[int], out, worst: float = INF) -> list[fl
     return fw
 
 
-def _backward(lat: Lattice, order: list[int], out, worst: float = INF) -> list[float]:
-    """Best suffix cost per node, final weight included, as in `_forward`."""
+def _backward(order: list[int], out, finals: dict[int, float], worst: float = INF) -> list[float]:
+    """Best suffix cost per node over the arcs in `out`, ending in one of
+    `finals` with its weight included, as in `_forward`."""
     better = operator.lt if worst == INF else operator.gt
-    bw = [worst] * lat.num_nodes
-    for i, w in lat.finals.items():
+    bw = [worst] * len(out)
+    for i, w in finals.items():
         bw[i] = w
     for i in reversed(order):
         best = bw[i]
@@ -279,18 +283,23 @@ def _backward(lat: Lattice, order: list[int], out, worst: float = INF) -> list[f
     return bw
 
 
+_SPLIT_NODE_CAP = 500_000  # most nodes a path-exact split may make
+
+
 def prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
     """Keep exactly the paths with total cost within `lattice_beam` of the best.
 
-    Stage one drops every arc and final not lying on some within-beam path,
-    using exact forward-backward min-sums, and trims.  Arc-level pruning
-    alone can still admit recombined paths above the beam (a cheap-prefix
-    arc joined to a cheap-suffix arc through a shared node), so a second
-    stage splits exactly the nodes where that can happen on their realized
-    prefix costs.  Split copies share a (state, step) identity; lattices
-    straight from the builder keep (state, step) unique.  Both stages keep
-    every input node apart, copies of an earlier prune included, so
-    re-pruning a pruned lattice only ever drops paths.
+    Exact forward-backward min-sums keep the arcs and finals lying on some
+    within-beam path.  Those alone can still admit recombined paths above
+    the beam (a cheap-prefix arc joined to a cheap-suffix arc through a
+    shared node), so the nodes where that can happen are split on their
+    realized prefix costs.  One walk from the start does both: a safe node
+    is shared and keeps its input node's key, and the walk enters only nodes
+    that can still finish, which trims the result.  Split copies share a
+    (state, step) identity; lattices straight from the builder keep (state,
+    step) unique.  The walk keeps every input node apart, copies of an
+    earlier prune included, so re-pruning a pruned lattice only ever drops
+    paths.
     """
     if not lattice_beam >= 0:
         raise ValueError(f"lattice_beam must be >= 0, got {lattice_beam}")
@@ -299,78 +308,62 @@ def prune_lattice(lat: Lattice, lattice_beam: float) -> Lattice:
     order = _topo_order(lat)
     out = lat.out_adjacency()
     fw = _forward(lat, order, out)
-    bw = _backward(lat, order, out)
+    bw = _backward(order, out, lat.finals)
     best = bw[lat.start_id]
     if best == INF:
         return EMPTY_LATTICE
     cutoff = best + lattice_beam + COST_EPS
+    out = [[a for a in arcs
+            if fw[a.from_id] + a.graph_cost + a.acoustic_cost + bw[a.to_id] <= cutoff]
+           for arcs in out]
+    finals = {i: w for i, w in lat.finals.items() if fw[i] + w <= cutoff}
 
-    keys = [(n.step, n.state, i) for i, n in enumerate(lat.nodes)]
-    raw = [
-        (keys[a.from_id], keys[a.to_id], a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie)
-        for a in lat.arcs
-        if fw[a.from_id] + a.graph_cost + a.acoustic_cost + bw[a.to_id] <= cutoff
-    ]
-    finals = {keys[i]: w for i, w in lat.finals.items() if fw[i] + w <= cutoff}
-    kept = _assemble(raw, keys[lat.start_id], finals)
-    if kept.is_empty:
-        return kept
-    return _enforce_path_soundness(kept, cutoff)
-
-
-def _enforce_path_soundness(lat: Lattice, cutoff: float) -> Lattice:
-    """Split nodes whose prefix/suffix recombination could exceed `cutoff`.
-
-    A node is safe when even its costliest prefix joined to its costliest
-    suffix stays within the cutoff; safe nodes (and everything downstream of
-    an entry through one) are kept as-is.  Unsafe nodes are copied per
-    realized prefix cost, with continuations that cannot finish within the
-    cutoff dropped.  The result admits exactly the within-cutoff paths, and
-    every node it reaches can finish, so it needs no trimming.
-    """
-    order = _topo_order(lat)
-    out = lat.out_adjacency()
+    # A node is safe when even its costliest kept prefix joined to its
+    # costliest kept suffix stays within the cutoff; a node off every kept
+    # path has a -inf bound, so it is safe too.  Only unsafe nodes split,
+    # and only then can the node count grow past the input's.
+    bw_min = _backward(order, out, finals)
+    if bw_min[lat.start_id] == INF:
+        return EMPTY_LATTICE
     fw_max = _forward(lat, order, out, -INF)
-    bw_max = _backward(lat, order, out, -INF)
+    bw_max = _backward(order, out, finals, -INF)
     safe = [f + b <= cutoff for f, b in zip(fw_max, bw_max)]
-    if all(safe):
-        return lat
-    bw_min = _backward(lat, order, out)
+    cap = INF if all(safe) else _SPLIT_NODE_CAP
 
-    # Explore (key, node id, prefix cost) triples.  A shared node keeps its
+    # Walk (key, node id, prefix cost) triples.  A shared node keeps its
     # (step, state, node id) key and no prefix cost, and once a path enters a
-    # shared node it stays shared; a split copy's key appends its prefix cost.
+    # shared node it stays shared; a split copy's key appends its prefix
+    # cost, and a copy drops continuations that cannot finish within the
+    # cutoff.  Every node the walk enters can finish, so nothing needs a trim.
     keys = [(n.step, n.state, i) for i, n in enumerate(lat.nodes)]
     i = lat.start_id
     start = (keys[i], i, None) if safe[i] else (keys[i] + (0.0,), i, 0.0)
     seen = {start[0]}
     arcs: list[tuple] = []
-    finals: dict[tuple, float] = {}
+    kept_finals: dict[tuple, float] = {}
     stack = [start]
     while stack:
         key, i, c = stack.pop()
-        w = lat.finals.get(i)
+        w = finals.get(i)
         if w is not None and (c is None or c + w <= cutoff):
-            finals[key] = w
+            kept_finals[key] = w
         for a in out[i]:
             j = a.to_id
-            c2 = None
-            if c is not None:
-                c2 = c + a.graph_cost + a.acoustic_cost
-                if c2 + bw_min[j] > cutoff:
-                    continue
-                if safe[j]:
-                    c2 = None
+            c2 = None if c is None else c + a.graph_cost + a.acoustic_cost
+            if bw_min[j] == INF or (c2 is not None and c2 + bw_min[j] > cutoff):
+                continue
+            if safe[j]:
+                c2 = None
             target = keys[j] if c2 is None else keys[j] + (c2,)
             arcs.append((key, target, a.ilabel, a.olabel, a.graph_cost, a.acoustic_cost, a.tie))
             if target not in seen:
                 seen.add(target)
-                if len(seen) > 500_000:
+                if len(seen) > cap:
                     raise LatticeError(
                         "path-exact pruning would expand this lattice beyond "
-                        "500000 nodes; widen or disable the lattice beam")
+                        f"{_SPLIT_NODE_CAP} nodes; widen or disable the lattice beam")
                 stack.append((target, j, c2))
-    return _renumber(seen, arcs, start[0], finals)
+    return _renumber(seen, arcs, start[0], kept_finals)
 
 
 def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
@@ -379,11 +372,15 @@ def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, 
     This is the one place that takes nodes sharing (step, state) to be split
     copies of one node: they share their final weight, and are merged back
     into that node first, so ties resolve by (cost, predecessor state id,
-    arc tie index) per node and by lower state id at the finals, matching
-    the decoder exactly: the result coincides with DecodeResult on lattices
-    built from a decode, pruned or not.  The best merged path is within any
-    prune's cutoff, so it is a path of the split lattice too.  Each node
-    keeps its least entry key, so any topological order serves.
+    ilabel, olabel, graph cost) per node and by lower state id at the
+    finals, matching the decoder exactly: a state's arcs into one
+    destination are stored in (ilabel, olabel, weight) order, so these
+    fields order them as their WFST arc indices do, and arcs equal on all
+    of them give the same path.  The result coincides with DecodeResult on
+    lattices built from a decode, pruned or not, saved and parsed or not.
+    The best merged path is within any prune's cutoff, so it is a path of
+    the split lattice too.  Each node keeps its least entry key, so any
+    topological order serves.
     """
     if lat.is_empty:
         raise LatticeError("cannot extract a best path from an empty lattice")
@@ -393,8 +390,8 @@ def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, 
                     keys[lat.start_id], {keys[i]: w for i, w in lat.finals.items()})
     out = lat.out_adjacency()
     nodes = lat.nodes
-    # The least (cost, predecessor state, arc tie) entering each node; the
-    # origin keeps cost 0 and no backpointer.
+    # The least (cost, predecessor state, ilabel, olabel, graph cost)
+    # entering each node; the origin keeps cost 0 and no backpointer.
     entry = [(INF,)] * lat.num_nodes
     entry[lat.start_id] = (0.0,)
     back: list[LatticeArc | None] = [None] * lat.num_nodes
@@ -404,7 +401,7 @@ def lattice_best_path(lat: Lattice) -> tuple[float, tuple[int, ...], tuple[int, 
             continue
         state = nodes[i].state
         for a in out[i]:
-            key = (base + a.graph_cost + a.acoustic_cost, state, a.tie)
+            key = (base + a.graph_cost + a.acoustic_cost, state, a.ilabel, a.olabel, a.graph_cost)
             if key < entry[a.to_id] and a.to_id != lat.start_id:
                 entry[a.to_id], back[a.to_id] = key, a
 

@@ -409,6 +409,21 @@ class TestLatticeCommand:
                         "--osyms", one_arc_files["syms"]]) == 0
         assert capsys.readouterr().out == "a 8.1275\n"
 
+    def test_saved_lattice_best_path_matches_decode_on_ties(self, tmp_path, capsys):
+        """A parsed lattice's arcs carry no WFST arc index; its best path
+        still breaks equal-cost ties as the decoder does."""
+        wfst, posts = grid_instance(3)
+        graph, post_path = tmp_path / "g.txt", tmp_path / "p.bin"
+        graph.write_text(wfst.to_text())
+        save_posteriors(posts, str(post_path), binary=True)
+        lat_path = tmp_path / "raw.lat"
+        assert run_cli(["decode", "--graph", str(graph), "--posts", str(post_path),
+                        "--mode", "fsd", "--lattice-out", str(lat_path),
+                        "--lattice-beam", "inf"]) == 0
+        assert capsys.readouterr().out == "1 1 1 1 1 1 1 1 1 5.8268\n"
+        assert run_cli(["lattice", "--lattice-in", str(lat_path)]) == 0
+        assert capsys.readouterr().out == "1 1 1 1 1 1 1 1 1 5.8268\n"
+
     def test_wider_reprune_of_a_split_lattice_adds_no_path(self, tmp_path, capsys):
         wfst, posts = grid_instance(3)
         graph, post_path = tmp_path / "g.txt", tmp_path / "p.bin"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsd_wfst import lattice
 from lsd_wfst.decoder import DecodeConfig, decode, decode_fsd, decode_lsd
 from lsd_wfst.fixtures import make_chain, make_random_posteriors, make_random_wfst
 from lsd_wfst.lattice import (
@@ -181,6 +182,15 @@ class TestPruneLattice:
         assert not pruned.is_empty
         assert prune_lattice(EMPTY_LATTICE, 1.0).is_empty
 
+    def test_node_cap_binds_only_a_splitting_prune(self, monkeypatch):
+        """The cap bounds the copies a split makes: a prune that splits no
+        node keeps every node it reaches, however many."""
+        _, lat = decode_with_lattice(*grid_instance(3), DecodeConfig(mode="fsd"))
+        monkeypatch.setattr(lattice, "_SPLIT_NODE_CAP", lat.num_nodes - 1)
+        assert prune_lattice(lat, INF).num_nodes == lat.num_nodes
+        with pytest.raises(LatticeError, match=f"beyond {lat.num_nodes - 1} nodes"):
+            prune_lattice(lat, 0.75)
+
     @pytest.mark.parametrize("beam", [-1.0, math.nan])
     def test_negative_or_nan_beam_rejected(self, diamond_wfst, beam):
         _, lat = self._diamond_lattice(diamond_wfst)
@@ -259,7 +269,9 @@ class TestLatticeBestPath:
 
 def test_pruned_best_path_equals_decoder():
     """Split copies of one (step, state) node can tie on cost; the best path
-    of a pruned lattice still equals the decoder's, cost bit for bit."""
+    of a pruned lattice still equals the decoder's, cost bit for bit, and so
+    does that of the lattice saved and parsed back, whose arcs no longer
+    carry their WFST arc indices."""
     for seed in range(100):
         w, p = grid_instance(seed)
         for mode, max_active in itertools.product(("fsd", "lsd"), (None, 3)):
@@ -274,9 +286,12 @@ def test_pruned_best_path_equals_decoder():
                 continue
             want = (result.total_cost.hex(), result.olabels, result.ilabels)
             for lattice_beam in (0.0, 0.75, 2.5, 8.0, INF):
-                cost, olabels, ilabels = lattice_best_path(prune_lattice(lat, lattice_beam))
-                assert (cost.hex(), olabels, ilabels) == want, (seed, mode, max_active,
-                                                               lattice_beam)
+                pruned = prune_lattice(lat, lattice_beam)
+                for saved in (False, True):
+                    each = parse_lattice_text(format_lattice_text(pruned)) if saved else pruned
+                    cost, olabels, ilabels = lattice_best_path(each)
+                    assert (cost.hex(), olabels, ilabels) == want, (seed, mode, max_active,
+                                                                   lattice_beam, saved)
 
 
 def _distinct_paths(lat):
