@@ -16,15 +16,15 @@ the backtrace follows it to the start state's root entry.  A pruned
 branch is freed once no live entry links to it.
 
 `_search` is the one search driver.  It owns everything around the steps:
-the graph checks, the start closure, search death, the final transition
-and the backtrace.  Each searched frame's label costs start unscored, and
-`_emit` scores a label the first time a relaxation reads it
-(`posteriors.FrameCosts`).  Engines differ only in the step function they
-hand it.  A step is two halves: `_emit` relaxes tokens' emitting arcs into
-a candidate dict, and `_close_and_prune` runs the epsilon fixpoint and the
-pruning on it.  `viterbi_step` calls both on one dict; the threaded engine
-in `parallel` fans `_emit` out over per-worker dicts, merges them, and
-hands the result to the same `_close_and_prune`.
+the graph checks, the start closure, the recorder's step boundaries, search
+death, the final transition and the backtrace.  Each searched frame's label
+costs start unscored, and `_emit` scores a label the first time a
+relaxation reads it (`posteriors.FrameCosts`).  Engines differ only in the
+step function they hand it.  A step is two halves: `_emit` relaxes tokens'
+emitting arcs into a candidate dict, and `_close_and_prune` runs the
+epsilon fixpoint and the pruning on it.  `viterbi_step` calls both on one
+dict; the threaded engine in `parallel` fans `_emit` out over per-worker
+dicts, merges them, and hands the result to the same `_close_and_prune`.
 """
 
 from __future__ import annotations
@@ -230,14 +230,11 @@ def _emit(wfst: Wfst, tokens, costs, cand: dict,
 
 def _close_and_prune(wfst: Wfst, cand: dict, cfg: DecodeConfig,
                      recorder=None, node_step: int = 0) -> list[Token]:
-    """Epsilon-close the step's emitted candidates, prune them by beam and
-    max-active, and report the survivors to the recorder."""
+    """Epsilon-close the step's emitted candidates and prune them by beam
+    and max-active."""
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
-    survivors = _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
-    if recorder is not None:
-        recorder.survivors(node_step, tuple(t.state for t in survivors))
-    return survivors
+    return _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
 
 
 def viterbi_step(wfst: Wfst, live: list[Token], costs,
@@ -247,27 +244,14 @@ def viterbi_step(wfst: Wfst, live: list[Token], costs,
     `costs` holds per-label acoustic costs for the consumed frame, indexed
     by label id.  An empty return signals search death.
     """
-    node_step = step + 1
-    if recorder is not None:
-        recorder.begin_step(node_step)
     cand: dict[int, tuple] = {}
-    _emit(wfst, live, costs, cand, recorder, node_step)
-    return _close_and_prune(wfst, cand, cfg, recorder, node_step)
+    _emit(wfst, live, costs, cand, recorder, step + 1)
+    return _close_and_prune(wfst, cand, cfg, recorder, step + 1)
 
 
 def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, recorder=None) -> list[Token]:
     """Start token plus its epsilon closure, pruned like any other step."""
-    if recorder is not None:
-        recorder.begin_step(0)
-    cand: dict[int, tuple] = {wfst.start: ROOT_ENTRY}
-    if wfst.has_epsilon_arcs:
-        _epsilon_fixpoint(wfst, cand, recorder, 0)
-    survivors = _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
-    if recorder is not None:
-        states = {t.state for t in survivors}
-        states.add(wfst.start)  # keep the lattice rooted even under brutal pruning
-        recorder.survivors(0, tuple(sorted(states)))
-    return survivors
+    return _close_and_prune(wfst, {wfst.start: ROOT_ENTRY}, cfg, recorder, 0)
 
 
 def final_transition(wfst: Wfst, live: list[Token]) -> tuple[Token, bool]:
@@ -322,7 +306,9 @@ def _check_compatible(wfst: Wfst, posts: PosteriorMatrix) -> None:
 def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
             frames: list[int], recorder=None, step=viterbi_step) -> DecodeResult:
     """Decode `frames` with the step function `step`, which has
-    `viterbi_step`'s signature and results."""
+    `viterbi_step`'s signature and results.  Only this driver reports step
+    boundaries to the recorder: `begin_step(k)` before node step k and
+    `survivors(k, states)` after it."""
     cycle = wfst.epsilon_cycle()
     if cycle is not None:
         raise WfstError(
@@ -331,14 +317,23 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     _check_compatible(wfst, posts)
 
     rows = frame_costs(posts, frames, cfg.acoustic_scale)
+    if recorder is not None:
+        recorder.begin_step(0)
     live = _initial_tokens(wfst, cfg, recorder)
+    if recorder is not None:
+        # The start stays a survivor, so the lattice stays rooted under any pruning.
+        recorder.survivors(0, tuple(sorted({wfst.start, *(t.state for t in live)})))
     expanded = 0
     steps_run = 0
     died_at: int | None = None
 
     for s, costs in enumerate(rows):
         expanded += len(live)
+        if recorder is not None:
+            recorder.begin_step(s + 1)
         nxt = step(wfst, live, costs, cfg, s, recorder)
+        if recorder is not None:
+            recorder.survivors(s + 1, tuple(t.state for t in nxt))
         steps_run += 1
         if not nxt:
             died_at = s

@@ -3,8 +3,9 @@
 A lattice node is a (state, search step) pair; emitting arcs connect
 consecutive steps while epsilon arcs stay within a step.  Decoding with a
 `LatticeRecorder` attached keeps every beam-surviving relaxation, not just
-the per-state winner, so the built lattice holds every surviving path and
-the Viterbi path is one of them.
+the per-state winner.  The build walks those records back from the finals
+and makes arcs only into nodes that reach one, so the lattice holds every
+surviving path and the Viterbi path is one of them.
 
 Construction and pruning work on plain tuple node keys: (step, state) for a
 built node, (step, state, node id) for a node being pruned, so that pruning
@@ -136,33 +137,6 @@ class LatticeRecorder:
         self.reached_final = reached_final
 
 
-def _assemble(arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> Lattice:
-    """Trim to the nodes on some start-to-final path, then renumber."""
-    fwd_adj: dict[tuple, list[tuple]] = {}
-    bwd_adj: dict[tuple, list[tuple]] = {}
-    for f, t, *_ in arcs:
-        fwd_adj.setdefault(f, []).append(t)
-        bwd_adj.setdefault(t, []).append(f)
-
-    def reach(seeds, adj):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for m in adj.get(stack.pop(), ()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
-    fwd = reach([start], fwd_adj)
-    live_finals = {k: w for k, w in finals.items() if k in fwd}
-    if not live_finals:
-        return EMPTY_LATTICE
-    keep = fwd & reach(live_finals, bwd_adj)
-    return _renumber(keep, [a for a in arcs if a[0] in keep and a[1] in keep],
-                     start, live_finals)
-
-
 def _renumber(keys, arcs: list[tuple], start: tuple, finals: dict[tuple, float]) -> Lattice:
     """The lattice on node `keys`: `start` is node 0 and the other keys follow
     in ascending order, so a split copy (key + prefix cost) comes right after
@@ -181,45 +155,69 @@ def _renumber(keys, arcs: list[tuple], start: tuple, finals: dict[tuple, float])
 
 
 def build_lattice(recorder: LatticeRecorder, wfst: Wfst) -> Lattice:
-    """Assemble the raw lattice from a completed decode trace, on (step, state)
-    node keys."""
-    final_step = recorder.final_step
-    if final_step is None:
-        if not recorder.steps:
-            return EMPTY_LATTICE
-        raise LatticeError("decode trace is incomplete (finish was never recorded)")
-    dst_of, ilabel, olabel = wfst.arc_dst, wfst.arc_ilabel, wfst.arc_olabel
-    weight = wfst.arc_weight
-    survivors: list[frozenset[int]] = []  # per step
-    arcs: list[tuple] = []  # (from key, to key, ilabel, olabel, graph, acoustic, tie)
-    append = arcs.append
-    for k, rec in enumerate(recorder.steps):
-        surv = frozenset(rec.survivors)
-        if k > 0:
-            # Both engines relax each (src, arc) at most once per step.
-            prev = survivors[k - 1]
-            for src, ai, ac in rec.emit:
-                dst = dst_of[ai]
-                if src in prev and dst in surv:
-                    append(((k - 1, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], ac, ai))
-        for src, ai in rec.eps:
-            dst = dst_of[ai]
-            if src in surv and dst in surv and dst != src:
-                append(((k, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], 0.0, ai))
-        survivors.append(surv)
+    """Build the raw lattice from a completed decode trace, on (step, state)
+    node keys, in one walk back from the finals.
 
-    if not survivors or wfst.start not in survivors[0]:
+    `live` holds the states of step k that reach a final.  The step's
+    epsilon records run to a fixpoint into it, then its emits into it from
+    survivors of step k - 1 give that step's `live`; only these relaxations
+    become arcs.  A forward reach from the start drops the nodes whose every
+    predecessor was pruned.
+    """
+    final_step, steps = recorder.final_step, recorder.steps
+    if final_step is None and steps:
+        raise LatticeError("decode trace is incomplete (finish was never recorded)")
+    if final_step is None or final_step >= len(steps):
         return EMPTY_LATTICE
-    surv = survivors[final_step] if final_step < len(survivors) else ()
+    surv = frozenset(steps[final_step].survivors)
     if recorder.reached_final:
-        weights = ((s, wfst.final_weight(s)) for s in surv)
-        finals = {(final_step, s): fw for s, fw in weights if fw != INF}
+        finals = {s: fw for s in surv if (fw := wfst.final_weight(s)) != INF}
     else:
-        final_state = recorder.final_state
-        finals = {(final_step, final_state): 0.0} if final_state in surv else {}
-    lat = _assemble(arcs, (0, wfst.start), finals)
-    if not lat.is_empty:
-        _topo_order(lat)  # reject within-step epsilon cycles up front
+        finals = {recorder.final_state: 0.0} if recorder.final_state in surv else {}
+
+    dst_of, ilabel, olabel, weight = wfst.arc_dst, wfst.arc_ilabel, wfst.arc_olabel, wfst.arc_weight
+    arcs: list[tuple] = []  # (from key, to key, ilabel, olabel, graph, acoustic, tie)
+    live = set(finals)
+    for k in range(final_step, -1, -1):
+        into: dict[int, list[tuple[int, int]]] = {}  # dst -> [(src, arc)]
+        for src, ai in steps[k].eps:
+            dst = dst_of[ai]
+            if src in surv and dst != src:
+                into.setdefault(dst, []).append((src, ai))
+        stack = list(live)
+        while stack:
+            dst = stack.pop()
+            for src, ai in into.get(dst, ()):
+                arcs.append(((k, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], 0.0, ai))
+                if src not in live:
+                    live.add(src)
+                    stack.append(src)
+        if k == 0:
+            break
+        surv = frozenset(steps[k - 1].survivors)
+        prev: set[int] = set()
+        # Both engines relax each (src, arc) at most once per step.
+        for src, ai, ac in steps[k].emit:
+            dst = dst_of[ai]
+            if dst in live and src in surv:
+                arcs.append(((k - 1, src), (k, dst), ilabel[ai], olabel[ai], weight[ai], ac, ai))
+                prev.add(src)
+        live = prev
+    if wfst.start not in live:
+        return EMPTY_LATTICE
+    start = (0, wfst.start)
+    succ: dict[tuple, list[tuple]] = {}
+    for a in arcs:
+        succ.setdefault(a[0], []).append(a[1])
+    keep, stack = {start}, [start]
+    while stack:
+        for t in succ.get(stack.pop(), ()):
+            if t not in keep:
+                keep.add(t)
+                stack.append(t)
+    lat = _renumber(keep, [a for a in arcs if a[0] in keep], start,
+                    {(final_step, s): w for s, w in finals.items() if (final_step, s) in keep})
+    _topo_order(lat)  # reject within-step epsilon cycles up front
     return lat
 
 
@@ -443,8 +441,8 @@ def format_lattice_text(lat: Lattice) -> str:
 
 def _parse_cost(tok: str, ln: str) -> float:
     cost = float(tok)
-    if math.isnan(cost):
-        raise LatticeError(f"NaN cost in lattice line {ln!r}")
+    if math.isnan(cost) or cost == -INF:  # +inf is a graph weight a raw lattice can carry
+        raise LatticeError(f"cost {tok!r} is NaN or -inf in lattice line {ln!r}")
     return cost
 
 

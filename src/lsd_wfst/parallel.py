@@ -157,19 +157,16 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         raise ValueError(f"group_size must be >= 1, got {group_size}")
 
     def threaded_step(wfst, live, costs, cfg, step=0, recorder=None):
-        node_step = step + 1
-        if recorder is not None:
-            recorder.begin_step(node_step)
         claims = claim_ledger.begin_step(len(live)) if claim_ledger else None
         dispatcher = Dispatcher(len(live), claims)
         parts = [{} for _ in range(workers)]
 
         def emit_job(wid):
             claimed = (live[i] for i in iter(lambda: dispatcher.claim_next(wid), None))
-            _emit(wfst, claimed, costs, parts[wid], recorder, node_step)
+            _emit(wfst, claimed, costs, parts[wid], recorder, step + 1)
 
         pool.run(emit_job)
-        return _close_and_prune(wfst, _merge(parts), cfg, recorder, node_step)
+        return _close_and_prune(wfst, _merge(parts), cfg, recorder, step + 1)
 
     with WorkerPool(workers) as pool:
         return _search(wfst, posts, cfg, select_frames(posts, cfg), recorder, threaded_step)

@@ -238,7 +238,6 @@ class Wfst:
         self.epsilon_cache: list[tuple | None] = [None] * num_states
 
         self._arcs: list[Arc] | None = None
-        self._in_arcs: dict[int, tuple[Arc, ...]] | None = None
         self._eps_cycle: EpsilonCycle | None = None
         self._eps_cycle_checked = False
 
@@ -290,16 +289,6 @@ class Wfst:
                     if arc[1] != state)
         self.epsilon_cache[state] = out
         return out
-
-    def in_arcs(self, state: int) -> tuple[Arc, ...]:
-        """All arcs entering `state` (reverse index built lazily)."""
-        self._check_state(state)
-        if self._in_arcs is None:
-            rev: dict[int, list[Arc]] = {}
-            for a in self.arcs:
-                rev.setdefault(a.dst, []).append(a)
-            self._in_arcs = {s: tuple(lst) for s, lst in rev.items()}
-        return self._in_arcs.get(state, ())
 
     def final_weight(self, state: int) -> float:
         self._check_state(state)

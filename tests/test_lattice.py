@@ -22,7 +22,7 @@ from lsd_wfst.lattice import (
     parse_lattice_text,
     prune_lattice,
 )
-from lsd_wfst.wfst import parse_wfst_text
+from lsd_wfst.wfst import Arc, Wfst, parse_wfst_text
 
 from conftest import (
     assert_same_path_counts,
@@ -101,6 +101,17 @@ class TestBuildLattice:
         cost, olabels, _ = lattice_best_path(lat)
         assert cost == pytest.approx(result.total_cost)
         assert olabels == result.olabels
+
+    def test_node_without_surviving_predecessor_is_trimmed(self):
+        # Max-active keeps states 1, 2 and 3 but drops 4, the only source of
+        # the epsilon arc into 2.  State 2 still reaches the final state 3,
+        # but the start does not reach it, so the lattice has no node for it.
+        w = Wfst(5, 0, [Arc(0, 1, 1, 1, 0.0), Arc(0, 4, 1, 1, 0.0), Arc(1, 3, 0, 0, 0.0),
+                        Arc(4, 2, 0, 0, 0.0), Arc(2, 3, 0, 0, 0.0)], {3: 0.0})
+        p = posteriors_from_rows([[0.5, 0.5]])
+        _, lat = decode_with_lattice(w, p, DecodeConfig(mode="fsd", max_active=3))
+        assert (lat.num_nodes, lat.num_arcs) == (3, 2)
+        assert sorted(n.state for n in lat.nodes) == [0, 1, 3]
 
     def test_empty_trace_builds_empty_lattice(self, one_arc_wfst):
         lat = build_lattice(LatticeRecorder(), one_arc_wfst)
@@ -365,6 +376,16 @@ class TestLatticeText:
             again = parse_lattice_text(format_lattice_text(lat))
             assert again == lat
 
+    def test_infinite_graph_cost_round_trips(self):
+        # A relaxation over an inf-weight arc is recorded and reaches the
+        # final state, so the raw lattice holds an arc of graph cost inf.
+        w = parse_wfst_text("0 1 1 1 0.5\n0 2 1 1 inf\n2 1 0 0 0.0\n1\n")
+        _, lat = decode_with_lattice(w, posteriors_from_rows([[0.5, 0.5]]),
+                                     DecodeConfig(mode="fsd"))
+        text = format_lattice_text(lat)
+        assert f"A 0 2 1 1 inf {math.log(2)!r}" in text.splitlines()
+        assert parse_lattice_text(text) == lat
+
     def test_header_and_line_shapes(self, one_arc_wfst):
         p = posteriors_from_rows([[0.5, 0.5]])
         _, lat = decode_with_lattice(one_arc_wfst, p, DecodeConfig(mode="fsd"))
@@ -389,6 +410,7 @@ class TestLatticeText:
     @pytest.mark.parametrize("line", [
         "N x 0 0", "N 0 0 0.5", "N 0 0 0 final 1.0x", "N 0 0 0 final nan",
         "N 0 0 0 final NaN", "A 0 0 1 1 nan 0.0", "A 0 0 1 1 0.0 -nan", "A 0 0 x 1 0.0 0.0",
+        "N 0 0 0 final -inf", "A 0 0 1 1 -inf 0.0", "A 0 0 1 1 0.0 -inf",
     ])
     def test_malformed_field_rejected(self, line):
         text = "LATTICE nodes=1 arcs=1\nN 0 0 0\nA 0 0 1 1 0.0 0.0\n"

@@ -54,7 +54,7 @@ class TestParse:
 7 0.0
 """
         w = parse_wfst_text(text)
-        incoming = w.in_arcs(7)
+        incoming = [a for a in w.arcs if a.dst == 7]
         assert len(incoming) == 3
         assert sorted(a.src for a in incoming) == [2, 5, 7]
 
