@@ -76,6 +76,9 @@ def make_random_wfst(rng: random.Random, num_states: int = 8, num_arcs: int = 16
         raise ValueError("need at least one state")
     if num_labels < 1:
         raise ValueError(f"num_labels must be >= 1, got {num_labels}")
+    if num_states == 1 and not selfloops and num_arcs > 0:
+        # Every arc on one state is a self-loop.
+        raise ValueError(f"num_arcs must be 0 on one state without self-loops, got {num_arcs}")
     for name, fraction in (("eps_fraction", eps_fraction), ("final_fraction", final_fraction)):
         if not 0.0 <= fraction <= 1.0:  # also false for NaN
             raise ValueError(f"{name} must be in [0, 1], got {fraction}")
@@ -175,10 +178,11 @@ def generate_fixture(kind: str, out_prefix: str, seed: int = 0,
                      binary_posteriors: bool = False, **params) -> dict[str, str]:
     """Write a graph/posterior/symbol-table fixture set; returns the paths.
 
-    Kinds: "chain" (states, frames, blank_fraction), "diamond" (frames),
-    "random" (states, arcs, labels, frames, blank_fraction, eps_fraction,
-    selfloops, final_fraction).  Deterministic per seed, byte for byte.
-    The posterior parameters are checked before the graph is drawn.
+    Kinds, besides frames and blank_fraction: "chain" (states, labels,
+    selfloops), "diamond" (none) and "random" (states, arcs, labels,
+    eps_fraction, selfloops, final_fraction); any other parameter raises.
+    Deterministic per seed, byte for byte.  The parameters are checked
+    before the graph is drawn.
     """
     rng = random.Random(seed)
     kind = kind.lower()
@@ -189,18 +193,22 @@ def generate_fixture(kind: str, out_prefix: str, seed: int = 0,
         states = int(params.pop("states", 4))
         labels = int(params.pop("labels", max(1, states - 1)))
         params.setdefault("selfloops", False)
-        make_graph = partial(make_chain, states, labels)
+        make_graph, takes = partial(make_chain, states, labels), {"selfloops"}
     elif kind == "diamond":
         labels = 4
-        make_graph = make_diamond
+        make_graph, takes = make_diamond, set()
     elif kind == "random":
         states = int(params.pop("states", 8))
         arcs = int(params.pop("arcs", 3 * states))
         labels = int(params.pop("labels", 3))
         make_graph = partial(make_random_wfst, rng, states, arcs, labels)
+        takes = {"eps_fraction", "selfloops", "final_fraction"}
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
 
+    unknown = sorted(params.keys() - takes)
+    if unknown:
+        raise ValueError(f"fixture kind {kind!r} takes no {unknown[0]!r} parameter")
     _check_posterior_params(frames, labels, blank_fraction)
     graph = make_graph(**params)
     posts = make_random_posteriors(rng, frames, labels, blank_fraction=blank_fraction)

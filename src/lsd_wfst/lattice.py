@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .wfst import Wfst
+from .wfst import ID_LIMIT, Wfst
 
 INF = math.inf
 
@@ -446,6 +446,14 @@ def _parse_cost(tok: str, ln: str) -> float:
     return cost
 
 
+def _parse_id(tok: str, ln: str, limit: float = ID_LIMIT) -> int:
+    """A field in [0, limit): a state or label id by default, as in a graph."""
+    value = int(tok)
+    if not 0 <= value < limit:
+        raise LatticeError(f"{tok} is outside [0, {limit}) in lattice line {ln!r}")
+    return value
+
+
 def parse_lattice_text(text: str) -> Lattice:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -473,14 +481,14 @@ def parse_lattice_text(text: str) -> Lattice:
                 idx = int(fields[1])
                 if idx != len(nodes):
                     raise LatticeError(f"node ids must be dense and ordered; got {ln!r}")
-                nodes.append(LatticeNode(int(fields[2]), int(fields[3])))
+                nodes.append(LatticeNode(_parse_id(fields[2], ln), _parse_id(fields[3], ln, INF)))
                 if len(fields) == 6:
                     finals[idx] = _parse_cost(fields[5], ln)
             elif fields[0] == "A":
                 if len(fields) != 7:
                     raise LatticeError(f"bad arc line {ln!r}")
-                arcs.append(LatticeArc(int(fields[1]), int(fields[2]), int(fields[3]),
-                                       int(fields[4]), _parse_cost(fields[5], ln),
+                arcs.append(LatticeArc(int(fields[1]), int(fields[2]), _parse_id(fields[3], ln),
+                                       _parse_id(fields[4], ln), _parse_cost(fields[5], ln),
                                        _parse_cost(fields[6], ln), tie=len(arcs)))
             else:
                 raise LatticeError(f"unrecognized lattice line {ln!r}")

@@ -104,12 +104,6 @@ class PosteriorMatrix:
     def label_prob(self, frame: int, label: int) -> float:
         return self._row(frame)[self.label_column(label)]
 
-    def select_frames(self, frames) -> "PosteriorMatrix":
-        """New matrix keeping only `frames`, in the given order."""
-        rows = [self._row(f) for f in frames]
-        return PosteriorMatrix._from_flat(list(chain.from_iterable(rows)), len(rows),
-                                          self.num_labels, self.blank_col)
-
 
 def _flatten(rows) -> tuple[list[float], int, int]:
     """Row-major floats and (T, num_cols) of a numpy array or nested rows.
@@ -207,17 +201,11 @@ class BlankMask:
     def count(self) -> int:
         return sum(self.bits)
 
-    def is_blank(self, frame: int) -> bool:
-        return self.bits[frame]
-
     def blank_frames(self) -> list[int]:
         return list(compress(range(len(self.bits)), self.bits))
 
     def nonblank_frames(self) -> list[int]:
         return list(compress(range(len(self.bits)), map(not_, self.bits)))
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 def classify_blank_frames(p: PosteriorMatrix, threshold: float) -> BlankMask:
@@ -238,11 +226,6 @@ def classify_blank_frames(p: PosteriorMatrix, threshold: float) -> BlankMask:
 def _cost(prob: float, scale: float) -> float:
     """-scale * log(prob); probability 0 maps to +inf."""
     return -scale * math.log(prob) if prob > 0.0 else INF
-
-
-def acoustic_cost(p: PosteriorMatrix, frame: int, label: int, scale: float = 1.0) -> float:
-    """-scale * log P(label | frame); probability 0 maps to +inf."""
-    return _cost(p.label_prob(frame, label), scale)
 
 
 class FrameCosts:
@@ -273,21 +256,6 @@ def frame_costs(p: PosteriorMatrix, frames, scale: float = 1.0):
     unscored = [INF] + [None] * p.num_nonblank_labels
     for frame in frames:
         yield FrameCosts(unscored.copy(), p._row(frame), cols, scale)
-
-
-def frame_cost_table(p: PosteriorMatrix, frames: list[int],
-                     scale: float = 1.0) -> list[list[float]]:
-    """Costs for all labels at each frame in `frames`, indexed by label id:
-    `frame_costs` rows with every label scored.
-
-    Index 0 (epsilon) is +inf; epsilon arcs are never acoustically scored.
-    """
-    table = []
-    for row in frame_costs(p, frames, scale):
-        for label in range(1, p.num_labels):
-            row.score(label)
-        table.append(row.costs)
-    return table
 
 
 def load_posteriors(source, strict: bool = False) -> PosteriorMatrix:

@@ -122,12 +122,6 @@ class SymbolTable:
     def find_symbol(self, idx: int) -> str | None:
         return self._id_to_sym.get(idx)
 
-    def __len__(self) -> int:
-        return len(self._sym_to_id)
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._sym_to_id
-
     def __iter__(self):
         return iter(sorted(self._id_to_sym.items()))
 
@@ -263,10 +257,6 @@ class Wfst:
         self._check_state(state)
         return self.arcs[self.arc_offsets[state]:self.arc_offsets[state + 1]]
 
-    def out_degree(self, state: int) -> int:
-        self._check_state(state)
-        return self.arc_offsets[state + 1] - self.arc_offsets[state]
-
     def emitting_arcs(self, state: int) -> tuple[tuple[int, int, int, float], ...]:
         """`(arc index, dst, ilabel, weight)` for each emitting arc of `state`.
 
@@ -305,12 +295,6 @@ class Wfst:
             self._eps_cycle_checked = True
         return self._eps_cycle
 
-    def has_structural_epsilon_cycle(self) -> bool:
-        """True if the epsilon subgraph has any cycle, regardless of weight."""
-        succ = {s: self.arc_dst[self.arc_offsets[s]:self.eps_split[s]]
-                for s in range(self.num_states)}
-        return _find_cycle(succ, self.num_states) is not None
-
     def to_text(self, isyms: SymbolTable | None = None,
                 osyms: SymbolTable | None = None) -> str:
         """Serialize to the AT&T-style text format accepted by `parse_wfst_text`.
@@ -318,28 +302,18 @@ class Wfst:
         The start state's arcs (or its final line) are emitted first so that
         reparsing recovers the same start state.
         """
-        def ilab(i: int) -> str:
-            if isyms is not None:
-                sym = isyms.find_symbol(i)
-                if sym is not None:
-                    return sym
-            return str(i)
-
-        def olab(i: int) -> str:
-            if osyms is not None:
-                sym = osyms.find_symbol(i)
-                if sym is not None:
-                    return sym
-            return str(i)
+        def label(table: SymbolTable | None, i: int) -> str:
+            sym = table.find_symbol(i) if table is not None else None
+            return str(i) if sym is None else sym
 
         def final_line(s: int) -> str:
             w = self.final_weights[s]
             return f"{s}" if w == 0.0 else f"{s} {w!r}"
 
         lines: list[str] = []
-        state_order = [self.start] + [s for s in range(self.num_states) if s != self.start]
+        lo, hi = self.arc_offsets[self.start], self.arc_offsets[self.start + 1]
         start_written_final = False
-        if self.out_degree(self.start) == 0:
+        if lo == hi:
             # The start state must be mentioned first to survive reparsing.
             # An infinite final weight round-trips to "exists, not final".
             if self.start in self.final_weights:
@@ -347,9 +321,11 @@ class Wfst:
                 start_written_final = True
             else:
                 lines.append(f"{self.start} inf")
-        for s in state_order:
-            for a in self.out_arcs(s):
-                lines.append(f"{a.src} {a.dst} {ilab(a.ilabel)} {olab(a.olabel)} {a.weight!r}")
+        columns = (self.arc_src, self.arc_dst, self.arc_ilabel, self.arc_olabel, self.arc_weight)
+        # The start state's range, then the ranges of the states before and after it.
+        for part in (slice(lo, hi), slice(lo), slice(hi, None)):
+            lines += [f"{s} {d} {label(isyms, i)} {label(osyms, o)} {w!r}"
+                      for s, d, i, o, w in zip(*(column[part] for column in columns))]
         for s in sorted(self.final_weights):
             if start_written_final and s == self.start:
                 continue

@@ -27,7 +27,7 @@ from lsd_wfst.lattice import (
     LatticeNode,
     _topo_order,
 )
-from lsd_wfst.posteriors import PosteriorFormatError, PosteriorMatrix
+from lsd_wfst.posteriors import PosteriorFormatError, PosteriorMatrix, frame_costs
 from lsd_wfst.wfst import EPSILON, Arc, ParseError, SymbolError, SymbolTable, Wfst
 
 INF = math.inf
@@ -45,6 +45,21 @@ def _acoustic(posts: PosteriorMatrix, frame: int, label: int, scale: float) -> f
     if prob <= 0.0:
         return INF
     return -scale * math.log(prob)
+
+
+def frame_cost_table(p: PosteriorMatrix, frames: list[int],
+                     scale: float = 1.0) -> list[list[float]]:
+    """Costs for all labels at each frame in `frames`, indexed by label id:
+    `frame_costs` rows with every label scored.
+
+    Index 0 (epsilon) is +inf; epsilon arcs are never acoustically scored.
+    """
+    table = []
+    for row in frame_costs(p, frames, scale):
+        for label in range(1, p.num_labels):
+            row.score(label)
+        table.append(row.costs)
+    return table
 
 
 def enumerate_paths(wfst: Wfst, posts: PosteriorMatrix, frames: list[int],

@@ -253,6 +253,28 @@ class TestGenCommand:
         assert f"error: {name} must be" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_one_random_state_needs_selfloops_for_arcs(self, tmp_path, capsys):
+        args = ["gen", "--kind", "random", "--states", "1", "--out-prefix"]
+        assert run_cli(args + [str(tmp_path / "x")]) == 2
+        assert "error: num_arcs must be 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        prefix = str(tmp_path / "loops")
+        assert run_cli(args + [prefix, "--selfloops"]) == 0
+        graph = parse_wfst_text(open(f"{prefix}.graph.txt").read())
+        assert graph.num_arcs == 3
+        assert all(a.src == a.dst == 0 for a in graph.arcs)
+
+    @pytest.mark.parametrize("kind,flag,name", [
+        ("diamond", "--labels", "labels"),
+        ("diamond", "--states", "states"),
+        ("chain", "--arcs", "arcs"),
+    ])
+    def test_parameter_the_kind_does_not_take_exits_2(self, tmp_path, capsys, kind, flag, name):
+        code = run_cli(["gen", "--kind", kind, flag, "5", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+        assert f"error: fixture kind {kind!r} takes no {name!r} parameter" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestBenchCommand:
     def _gen(self, tmp_path, frames=100, blank=0.9):

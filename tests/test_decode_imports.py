@@ -39,10 +39,10 @@ print(repr({{"code": code, "after_import": after_import, "after_decode": loaded(
 """
 
 
-def _run(args):
+def _run(args, script=DECODE_SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", DECODE_SCRIPT, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -90,3 +90,14 @@ def test_threaded_lattice_decode_loads_no_queue(fixture_paths, mode):
     _assert_none_loaded(_decode_args(paths, mode) + [
         "--workers", "2", "--lattice-out", str(out / f"{mode}-threaded.lat"),
         "--lattice-beam", "2"])
+
+
+def test_package_import_loads_no_submodule():
+    """The package root holds only `__version__`; callers import each name
+    from the module that defines it."""
+    script = ("import sys, lsd_wfst\n"
+              "print(repr((lsd_wfst.__version__,"
+              " sorted(m for m in sys.modules if m.startswith('lsd_wfst.')))))\n")
+    _, (version, submodules) = _run([], script)
+    assert version == lsd_wfst.__version__
+    assert submodules == []

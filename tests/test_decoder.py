@@ -29,6 +29,11 @@ from oracles import best_oracle_paths, enumerate_full_blank_paths, enumerate_pat
 INF = math.inf
 
 
+def nonblank_matrix(p, mask):
+    """The matrix of `p`'s non-blank frames, built from its rows."""
+    return PosteriorMatrix(p.rows[mask.nonblank_frames()], blank_col=p.blank_col)
+
+
 def root_token(state, cost=0.0):
     return Token(state, cost, ROOT_ENTRY)
 
@@ -228,7 +233,7 @@ class TestDecodeLsd:
         assert mask.blank_frames() == [1, 3]
         r = decode_lsd(w, p, cfg)
         assert r.search_steps == 3
-        filtered = p.select_frames(mask.nonblank_frames())
+        filtered = nonblank_matrix(p, mask)
         r_f = decode_fsd(w, filtered, DecodeConfig(mode="fsd"))
         assert r == r_f
 
@@ -238,8 +243,7 @@ class TestDecodeLsd:
             cfg = DecodeConfig(mode="lsd")
             mask = classify_blank_frames(p, cfg.blank_threshold)
             lsd = decode_lsd(w, p, cfg)
-            fsd = decode_fsd(w, p.select_frames(mask.nonblank_frames()),
-                             DecodeConfig(mode="fsd"))
+            fsd = decode_fsd(w, nonblank_matrix(p, mask), DecodeConfig(mode="fsd"))
             assert lsd == fsd
 
     def test_step_count_law(self):

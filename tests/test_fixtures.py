@@ -16,7 +16,7 @@ from lsd_wfst.fixtures import (
     make_symbols,
 )
 from lsd_wfst.posteriors import classify_blank_frames
-from lsd_wfst.wfst import validate_epsilon_acyclic
+from lsd_wfst.wfst import EPSILON, validate_epsilon_acyclic
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -26,7 +26,8 @@ def test_random_graphs_always_epsilon_valid(seed):
                          num_arcs=rng.randrange(0, 80), num_labels=4,
                          eps_fraction=0.4, selfloops=rng.random() < 0.5)
     assert validate_epsilon_acyclic(w) is None
-    assert not w.has_structural_epsilon_cycle()
+    # The generator's invariant: epsilon arcs point from lower to higher ids.
+    assert all(a.src < a.dst for a in w.arcs if a.ilabel == EPSILON)
     assert w.final_weights  # at least one final state guaranteed
 
 
@@ -58,6 +59,17 @@ def test_bad_frame_or_label_counts_raise_before_drawing():
     assert rng.getstate() == random.Random(5).getstate()
     with pytest.raises(ValueError, match="^num_labels must be >= 1, got 0"):
         make_chain(3, num_labels=0)
+
+
+def test_one_state_without_selfloops_takes_no_arcs():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^num_arcs must be 0 on one state"):
+        make_random_wfst(rng, num_states=1, num_arcs=1)
+    assert rng.getstate() == state  # rejected before the first draw
+    assert make_random_wfst(rng, num_states=1, num_arcs=0).num_arcs == 0
+    loops = make_random_wfst(rng, num_states=1, num_arcs=4, selfloops=True)
+    assert [(a.src, a.dst) for a in loops.arcs] == [(0, 0)] * 4
 
 
 @pytest.mark.parametrize("params,message", [

@@ -411,6 +411,8 @@ class TestLatticeText:
         "N x 0 0", "N 0 0 0.5", "N 0 0 0 final 1.0x", "N 0 0 0 final nan",
         "N 0 0 0 final NaN", "A 0 0 1 1 nan 0.0", "A 0 0 1 1 0.0 -nan", "A 0 0 x 1 0.0 0.0",
         "N 0 0 0 final -inf", "A 0 0 1 1 -inf 0.0", "A 0 0 1 1 0.0 -inf",
+        "N 0 -3 0", "N 0 0 -1", "N 0 2147483648 0", "A 0 0 -4 1 0.0 0.0",
+        "A 0 0 1 -9 0.0 0.0", "A 0 0 2147483648 1 0.0 0.0", "A 0 0 1 2147483648 0.0 0.0",
     ])
     def test_malformed_field_rejected(self, line):
         text = "LATTICE nodes=1 arcs=1\nN 0 0 0\nA 0 0 1 1 0.0 0.0\n"

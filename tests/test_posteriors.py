@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from lsd_wfst.posteriors import (
     PosteriorFormatError,
     PosteriorMatrix,
-    acoustic_cost,
     classify_blank_frames,
     format_posteriors_binary,
     format_posteriors_text,
-    frame_cost_table,
+    frame_costs,
     load_posteriors,
 )
+
+from oracles import frame_cost_table
 
 
 class TestLoadText:
@@ -102,7 +103,7 @@ class TestClassifyBlankFrames:
         mask = classify_blank_frames(p, 0.98)
         assert mask.blank_frames() == [0, 2]
         assert mask.count == 2
-        assert not mask.is_blank(1)
+        assert not mask.bits[1]
 
     def test_threshold_above_one_gives_empty_set(self):
         rows = np.array([[1.0, 0.0, 0.0]])
@@ -158,17 +159,19 @@ class TestAcousticCost:
         rest = 1.0 - prob
         return PosteriorMatrix(np.array([[rest, prob]]), blank_col=0)
 
+    def _cost(self, prob, scale):
+        """Label 1's cost, read from the one `frame_costs` row of `_matrix(prob)`."""
+        row, = frame_costs(self._matrix(prob), [0], scale)
+        return row.score(1)
+
     def test_probability_one_costs_nothing(self):
-        p = self._matrix(1.0)
-        assert acoustic_cost(p, 0, 1, 1.0) == 0.0
+        assert self._cost(1.0, 1.0) == 0.0
 
     def test_probability_zero_kills_path(self):
-        p = self._matrix(0.0)
-        assert acoustic_cost(p, 0, 1, 1.0) == math.inf
+        assert self._cost(0.0, 1.0) == math.inf
 
     def test_scale_two_on_half(self):
-        p = self._matrix(0.5)
-        assert acoustic_cost(p, 0, 1, 2.0) == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert self._cost(0.5, 2.0) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(p1=st.floats(0.01, 0.99), p2=st.floats(0.01, 0.99),
@@ -177,10 +180,10 @@ class TestAcousticCost:
         lo, hi = sorted((p1, p2))
         if hi - lo < 1e-9:
             hi = lo + 1e-3
-        cost_lo = acoustic_cost(self._matrix(lo), 0, 1, 1.0)
-        cost_hi = acoustic_cost(self._matrix(hi), 0, 1, 1.0)
+        cost_lo = self._cost(lo, 1.0)
+        cost_hi = self._cost(hi, 1.0)
         assert cost_hi < cost_lo
-        scaled = acoustic_cost(self._matrix(lo), 0, 1, kappa)
+        scaled = self._cost(lo, kappa)
         assert scaled == pytest.approx(kappa * cost_lo, rel=1e-12)
 
     def test_label_column_mapping_skips_blank(self):
@@ -213,12 +216,3 @@ class TestAcousticCost:
             want = [[math.inf] + (-0.7 * np.log(rows[f, cols])).tolist() for f in frames]
         assert frame_cost_table(p, frames, 0.7) == want
         assert frame_cost_table(p, [], 0.7) == []
-
-
-class TestSelectFrames:
-    def test_select_subset(self):
-        rows = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-        p = PosteriorMatrix(rows, blank_col=0)
-        q = p.select_frames([0, 2])
-        assert q.num_frames == 2
-        np.testing.assert_array_equal(q.rows, rows[[0, 2]])

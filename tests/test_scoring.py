@@ -3,7 +3,7 @@
 The search scores a frame's label costs the first time it reads them
 (`posteriors.FrameCosts`).  Seen through the recorder's `emitting` hook,
 every acoustic cost a decode relaxes with must equal the matching
-`frame_cost_table` cell bit for bit, and the relaxations must be exactly
+`oracles.frame_cost_table` cell bit for bit, and the relaxations must be exactly
 those the table allows: every emitting arc of every surviving state whose
 label cost is finite, and none whose label has probability 0.
 """
@@ -18,9 +18,10 @@ import pytest
 from lsd_wfst.decoder import DecodeConfig, decode, select_frames
 from lsd_wfst.fixtures import make_random_posteriors
 from lsd_wfst.parallel import parallel_decode
-from lsd_wfst.posteriors import FrameCosts, PosteriorMatrix, frame_cost_table, frame_costs
+from lsd_wfst.posteriors import FrameCosts, PosteriorMatrix, frame_costs
 
 from conftest import grid_instance, random_instance
+from oracles import frame_cost_table
 
 INF = math.inf
 LABELS = 3  # four columns: blank first (0), in the middle (2) or last (3)

@@ -191,16 +191,6 @@ class TestEpsilonValidation:
         w = parse_wfst_text("0 1 0 0 0.5\n1 0 0 0 0.5\n1 0.0")
         assert validate_epsilon_acyclic(w) is None
 
-    def test_structural_check_sees_positive_cycles(self):
-        w = parse_wfst_text("0 1 0 0 0.5\n1 0 0 0 0.5\n1 0.0")
-        assert w.has_structural_epsilon_cycle()
-        acyclic = parse_wfst_text("0 1 0 0 0.5\n1 0.0")
-        assert not acyclic.has_structural_epsilon_cycle()
-
-    def test_structural_check_sees_epsilon_self_loops(self):
-        assert parse_wfst_text("0 0 0 0 0.5\n0").has_structural_epsilon_cycle()
-        assert not parse_wfst_text("0 0 1 0 0.5\n0").has_structural_epsilon_cycle()
-
 
 class TestSymbolTable:
     def test_parse_and_lookup(self):
