@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .decoder import DecodeConfig, DecodeResult, decode_fsd, decode_lsd
+from .decoder import (DEFAULT_BENCH_MODES, DecodeConfig, DecodeResult, check_bench_modes,
+                      decode_fsd, decode_lsd)
 from .parallel import parallel_decode
 from .posteriors import PosteriorMatrix, classify_blank_frames
 from .wfst import Wfst
 
 REPORT_SCHEMA = "v1"
-
-MODES = ("fsd-serial", "lsd-serial", "lsd-parallel", "fsd-parallel")
-DEFAULT_MODES = ("fsd-serial", "lsd-serial", "lsd-parallel")
 
 
 class StepCountViolation(AssertionError):
@@ -50,22 +48,6 @@ class BenchReport:
     load_wall_time_s: float | None = None
 
 
-def check_modes(modes: tuple[str, ...]) -> None:
-    """Raise ValueError unless `modes` is a non-empty tuple of distinct names
-    in `MODES`."""
-    unknown = [m for m in modes if m not in MODES]
-    repeated = [m for i, m in enumerate(modes) if m in modes[:i]]
-    if not modes:
-        found = "no bench mode given"
-    elif unknown:
-        found = f"unknown bench mode {unknown[0]!r}"
-    elif repeated:
-        found = f"bench mode {repeated[0]!r} given twice"
-    else:
-        return
-    raise ValueError(f"{found}; known modes: {', '.join(MODES)}")
-
-
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
               workers: int) -> DecodeResult:
     if mode == "fsd-serial":
@@ -73,17 +55,17 @@ def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     if mode == "lsd-serial":
         return decode_lsd(wfst, posts, cfg)
     engine_mode = mode.removesuffix("-parallel")
-    return parallel_decode(wfst, posts, replace(cfg, mode=engine_mode), workers=workers)
+    return parallel_decode(wfst, posts, cfg.replace(mode=engine_mode), workers=workers)
 
 
 def run_bench(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
-              modes=DEFAULT_MODES, repeats: int = 5, workers: int = 1) -> BenchReport:
+              modes=DEFAULT_BENCH_MODES, repeats: int = 5, workers: int = 1) -> BenchReport:
     """Median-of-`repeats` search timings per mode, with invariants asserted."""
     import statistics  # with fractions and decimal, ~6 ms that decoding does not need
 
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    check_modes(modes)
+    check_bench_modes(modes)
     num_frames = posts.num_frames
     blank = classify_blank_frames(posts, cfg.blank_threshold).count
 

@@ -7,6 +7,10 @@ result is still printed), 4 step-count invariant breach inside bench,
 per-state tables than the host can hold).  A lattice too large to prune
 still exits 2.
 The LSD_WFST_LOG environment variable sets the log level.
+
+A plain decode imports only `decoder`, `posteriors` and `wfst` from this
+package.  `bench`, `lattice` and `parallel` are imported inside the commands
+and options that use them.
 """
 
 from __future__ import annotations
@@ -19,26 +23,8 @@ import sys
 import time
 
 from . import __version__
-from .bench import (
-    DEFAULT_MODES,
-    MODES,
-    StepCountViolation,
-    check_modes,
-    report_json,
-    report_text,
-    run_bench,
-)
-from .decoder import DecodeConfig, decode
-from .lattice import (
-    LatticeError,
-    LatticeRecorder,
-    build_lattice,
-    lattice_best_path,
-    load_lattice,
-    prune_lattice,
-    save_lattice,
-)
-from .parallel import parallel_decode
+from .decoder import (BENCH_MODES, DEFAULT_BENCH_MODES, DecodeConfig, check_bench_modes,
+                      decode)
 from .posteriors import PosteriorFormatError, load_posteriors
 from .wfst import ParseError, SymbolError, SymbolTable, WfstError, parse_wfst_text
 
@@ -82,7 +68,7 @@ def _nonnegative_float(text: str) -> float:
 def _bench_modes(text: str) -> tuple[str, ...]:
     modes = tuple(m.strip() for m in text.split(",") if m.strip())
     try:
-        check_modes(modes)
+        check_bench_modes(modes)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return modes
@@ -139,8 +125,14 @@ def cmd_decode(args) -> int:
     cfg = _config_from_args(args)
     graph, posts, _, osyms = _load_inputs(args)
 
-    recorder = LatticeRecorder() if args.lattice_out else None
+    recorder = None
+    if args.lattice_out:
+        from .lattice import LatticeRecorder, build_lattice, prune_lattice, save_lattice
+
+        recorder = LatticeRecorder()
     if args.workers > 1:
+        from .parallel import parallel_decode
+
         result = parallel_decode(graph, posts, cfg, workers=args.workers, recorder=recorder)
     else:
         result = decode(graph, posts, cfg, recorder=recorder)
@@ -165,12 +157,18 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import StepCountViolation, report_json, report_text, run_bench
+
     cfg = _config_from_args(args)
     t0 = time.perf_counter()
     graph, posts, _, _ = _load_inputs(args)
     load_s = time.perf_counter() - t0
-    report = run_bench(graph, posts, cfg, modes=args.modes, repeats=args.repeats,
-                       workers=args.workers)
+    try:
+        report = run_bench(graph, posts, cfg, modes=args.modes, repeats=args.repeats,
+                           workers=args.workers)
+    except StepCountViolation as exc:
+        print(f"invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     report.load_wall_time_s = load_s
     if args.report == "json":
         sys.stdout.write(report_json(report))
@@ -201,6 +199,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from .lattice import lattice_best_path, load_lattice, prune_lattice, save_lattice
+
     lat = load_lattice(args.lattice_in)
     if args.lattice_beam != math.inf:
         lat = prune_lattice(lat, args.lattice_beam)
@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time decoding modes on one input")
     _add_decode_args(p_bench)
-    p_bench.add_argument("--modes", type=_bench_modes, default=DEFAULT_MODES,
-                         help=f"comma-separated, of: {','.join(MODES)}")
+    p_bench.add_argument("--modes", type=_bench_modes, default=DEFAULT_BENCH_MODES,
+                         help=f"comma-separated, of: {','.join(BENCH_MODES)}")
     p_bench.add_argument("--repeats", type=_positive_int, default=5)
     p_bench.add_argument("--report", choices=("text", "json"), default="text")
     p_bench.set_defaults(func=cmd_bench)
@@ -263,11 +263,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StepCountViolation as exc:
-        print(f"invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except (OSError, ParseError, SymbolError, WfstError, PosteriorFormatError,
-            LatticeError, ValueError) as exc:
+            ValueError) as exc:  # lattice.LatticeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

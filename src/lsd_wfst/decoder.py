@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -80,33 +79,56 @@ class Token(NamedTuple):
 _token = partial(tuple.__new__, Token)
 
 
-@dataclass
 class DecodeConfig:
-    beam: float = INF
-    max_active: int | None = None
-    blank_threshold: float = 0.98
-    acoustic_scale: float = 1.0
-    mode: str = "lsd"
+    """Search settings, checked when made: a bad value raises `ValueError`
+    before any input is read.  Mutable and unhashable; `replace` makes a
+    checked copy."""
 
-    def __post_init__(self):
+    __slots__ = ("beam", "max_active", "blank_threshold", "acoustic_scale", "mode")
+
+    def __init__(self, beam: float = INF, max_active: int | None = None,
+                 blank_threshold: float = 0.98, acoustic_scale: float = 1.0,
+                 mode: str = "lsd"):
         # Negated comparisons so that NaN, which compares false, is rejected.
-        if not self.beam >= 0:
-            raise ValueError(f"beam must be >= 0, got {self.beam}")
+        if not beam >= 0:
+            raise ValueError(f"beam must be >= 0, got {beam}")
         # A NaN cap would disable pruning and a float one fail mid-decode.
-        if self.max_active is not None and (type(self.max_active) is not int
-                                            or self.max_active < 1):
-            raise ValueError(f"max_active must be None or an int >= 1, got {self.max_active!r}")
-        if not 0 < self.acoustic_scale < INF:
-            raise ValueError(
-                f"acoustic_scale must be positive and finite, got {self.acoustic_scale}")
-        if math.isnan(self.blank_threshold):
+        if max_active is not None and (type(max_active) is not int or max_active < 1):
+            raise ValueError(f"max_active must be None or an int >= 1, got {max_active!r}")
+        if not 0 < acoustic_scale < INF:
+            raise ValueError(f"acoustic_scale must be positive and finite, got {acoustic_scale}")
+        if math.isnan(blank_threshold):
             raise ValueError("blank_threshold must be a number, got nan")
-        if self.mode not in ("fsd", "lsd"):
-            raise ValueError(f"mode must be 'fsd' or 'lsd', got {self.mode!r}")
+        if mode not in ("fsd", "lsd"):
+            raise ValueError(f"mode must be 'fsd' or 'lsd', got {mode!r}")
+        self.beam = beam
+        self.max_active = max_active
+        self.blank_threshold = blank_threshold
+        self.acoustic_scale = acoustic_scale
+        self.mode = mode
+
+    def _values(self) -> tuple:
+        return (self.beam, self.max_active, self.blank_threshold, self.acoustic_scale, self.mode)
+
+    def replace(self, **changes) -> DecodeConfig:
+        """A copy with `changes` applied, checked like a new config."""
+        return self.__class__(**{**dict(zip(self.__slots__, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
+    """What a decode returns.  A tuple for cheap construction, but equal only
+    to another `DecodeResult`."""
+
     total_cost: float
     olabels: tuple[int, ...]
     ilabels: tuple[int, ...]
@@ -114,6 +136,33 @@ class DecodeResult:
     tokens_expanded: int
     reached_final: bool
     died_at_step: int | None = None
+
+    def __eq__(self, other):
+        return other.__class__ is DecodeResult and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
+# `lsd-wfst bench` modes: each decode mode on the serial or the threaded engine.
+BENCH_MODES = ("fsd-serial", "lsd-serial", "lsd-parallel", "fsd-parallel")
+DEFAULT_BENCH_MODES = ("fsd-serial", "lsd-serial", "lsd-parallel")
+
+
+def check_bench_modes(modes: tuple[str, ...]) -> None:
+    """Raise ValueError unless `modes` is a non-empty tuple of distinct names
+    in `BENCH_MODES`."""
+    unknown = [m for m in modes if m not in BENCH_MODES]
+    repeated = [m for i, m in enumerate(modes) if m in modes[:i]]
+    if not modes:
+        found = "no bench mode given"
+    elif unknown:
+        found = f"unknown bench mode {unknown[0]!r}"
+    elif repeated:
+        found = f"bench mode {repeated[0]!r} given twice"
+    else:
+        return
+    raise ValueError(f"{found}; known modes: {', '.join(BENCH_MODES)}")
 
 
 def select_frames(posts: PosteriorMatrix, cfg: DecodeConfig) -> list[int]:
@@ -365,13 +414,13 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
 def decode_fsd(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
                recorder=None) -> DecodeResult:
     """Frame-synchronous decoding: one search step per frame."""
-    return decode(wfst, posts, replace(cfg, mode="fsd"), recorder)
+    return decode(wfst, posts, cfg.replace(mode="fsd"), recorder)
 
 
 def decode_lsd(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
                recorder=None) -> DecodeResult:
     """Label-synchronous decoding: blank frames are discarded unsearched."""
-    return decode(wfst, posts, replace(cfg, mode="lsd"), recorder)
+    return decode(wfst, posts, cfg.replace(mode="lsd"), recorder)
 
 
 def decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,

@@ -76,6 +76,8 @@ def make_random_wfst(rng: random.Random, num_states: int = 8, num_arcs: int = 16
         raise ValueError("need at least one state")
     if num_labels < 1:
         raise ValueError(f"num_labels must be >= 1, got {num_labels}")
+    if num_arcs < 0:
+        raise ValueError(f"num_arcs must be >= 0, got {num_arcs}")
     if num_states == 1 and not selfloops and num_arcs > 0:
         # Every arc on one state is a self-loop.
         raise ValueError(f"num_arcs must be 0 on one state without self-loops, got {num_arcs}")

@@ -38,8 +38,8 @@ INF = math.inf
 COST_EPS = 1e-9  # slack absorbing float summation-order noise in cost comparisons
 
 
-class LatticeError(Exception):
-    pass
+class LatticeError(ValueError):
+    """A malformed lattice or decode trace, or a lattice too large to prune."""
 
 
 @dataclass(frozen=True)
@@ -492,6 +492,8 @@ def parse_lattice_text(text: str) -> Lattice:
                                        _parse_cost(fields[6], ln), tie=len(arcs)))
             else:
                 raise LatticeError(f"unrecognized lattice line {ln!r}")
+        except LatticeError:
+            raise
         except ValueError:
             raise LatticeError(f"malformed number in lattice line {ln!r}") from None
 

@@ -20,9 +20,9 @@ import os
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import not_
+from typing import NamedTuple
 
 log = logging.getLogger("lsd_wfst.posteriors")
 
@@ -187,15 +187,21 @@ def _pairwise_sum(a: list[float]) -> float:
     return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
 
 
-@dataclass(frozen=True)
-class BlankMask:
+class BlankMask(NamedTuple):
     """Bitset over frames; bit u set iff frame u counts as blank.
 
-    `bits` is a tuple of bools, one per frame.
+    `bits` is a tuple of bools, one per frame.  Equal only to another
+    `BlankMask`.
     """
 
     bits: tuple[bool, ...]
     threshold: float
+
+    def __eq__(self, other):
+        return other.__class__ is BlankMask and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def count(self) -> int:

@@ -27,7 +27,6 @@ import logging
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from operator import add, le, not_
@@ -77,12 +76,18 @@ class Arc(NamedTuple):
 _new_arc = partial(tuple.__new__, Arc)  # Arc(*fields) without its Python-level __new__
 
 
-@dataclass(frozen=True)
-class EpsilonCycle:
-    """One offending epsilon cycle with non-positive total weight."""
+class EpsilonCycle(NamedTuple):
+    """One offending epsilon cycle with non-positive total weight.  Equal
+    only to another `EpsilonCycle`."""
 
     states: tuple[int, ...]
     total_weight: float
+
+    def __eq__(self, other):
+        return other.__class__ is EpsilonCycle and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
 
 class SymbolTable:

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from lsd_wfst import cli
+from lsd_wfst import cli, lattice
 from lsd_wfst.decoder import DecodeConfig, DecodeResult
 from lsd_wfst.lattice import lattice_best_path, load_lattice
 from lsd_wfst.posteriors import load_posteriors, save_posteriors
@@ -243,6 +243,7 @@ class TestGenCommand:
         ("random", "--final-fraction", "-2", "final_fraction"),
         ("random", "--final-fraction", "nan", "final_fraction"),
         ("random", "--labels", "0", "num_labels"),
+        ("random", "--arcs", "-5", "num_arcs"),
         ("chain", "--labels", "0", "num_labels"),
         ("random", "--frames", "-1", "num_frames"),
     ])
@@ -410,6 +411,43 @@ class TestLatticeCommand:
     def test_missing_lattice_exits_2(self, capsys):
         assert run_cli(["lattice", "--lattice-in", "/nope.lat"]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("LATTICE nodes=2\n", "bad lattice header 'LATTICE nodes=2'"),
+        ("LATTICE nodes=1 arcs=0\nN 0 0\n", "bad node line 'N 0 0'"),
+        ("LATTICE nodes=1 arcs=0\nN 0 0 x\n", "malformed number in lattice line 'N 0 0 x'"),
+    ])
+    def test_malformed_lattice_exits_2(self, tmp_path, capsys, text, message):
+        lat_path = tmp_path / "bad.lat"
+        lat_path.write_text(text)
+        assert run_cli(["lattice", "--lattice-in", str(lat_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_prune_past_the_node_cap_exits_2_after_the_transcript(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """`decode --lattice-out` prints the transcript before it builds the
+        lattice; a path-exact prune that would split past the node cap then
+        exits 2 and writes no lattice."""
+        wfst, posts = grid_instance(3)
+        graph, post_path = tmp_path / "g.txt", tmp_path / "p.bin"
+        graph.write_text(wfst.to_text())
+        save_posteriors(posts, str(post_path), binary=True)
+        lat_path = tmp_path / "out.lat"
+        args = ["decode", "--graph", str(graph), "--posts", str(post_path), "--mode", "fsd",
+                "--lattice-out", str(lat_path)]
+        assert run_cli(args + ["--lattice-beam", "inf"]) == 0
+        transcript = capsys.readouterr().out
+        cap = load_lattice(str(lat_path)).num_nodes - 1
+        lat_path.unlink()
+        monkeypatch.setattr(lattice, "_SPLIT_NODE_CAP", cap)
+        assert run_cli(args + ["--lattice-beam", "0.75"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == transcript == "1 1 1 1 1 1 1 1 1 5.8268\n"
+        assert captured.err.startswith("error: path-exact pruning would expand this lattice "
+                                       f"beyond {cap} nodes")
+        assert not lat_path.exists()
+
     def test_pruned_lattice_best_path_matches_decode(self, tmp_path, one_arc_files, capsys):
         """Path-exact pruning splits (step, state) nodes into copies that tie
         on cost; the best path of the saved lattice still follows the
@@ -488,7 +526,7 @@ def test_bad_lattice_beam_exits_2_before_decoding(tmp_path, one_arc_files, capsy
         raise AssertionError("ran with a bad --lattice-beam")
 
     monkeypatch.setattr(cli, "_load_inputs", no_work)
-    monkeypatch.setattr(cli, "load_lattice", no_work)
+    monkeypatch.setattr(lattice, "load_lattice", no_work)  # as `cmd_lattice` resolves it
     lat_path = str(tmp_path / "out.lat")
     for args in (["decode", "--graph", one_arc_files["graph"],
                   "--posts", one_arc_files["posts"], "--lattice-out", lat_path],

@@ -1,5 +1,4 @@
-"""A decode process loads none of the modules only `bench` reports need,
-and no `queue`.
+"""A decode process loads only what it runs.
 
 `statistics` (with `fractions` and `decimal`) serves one median in
 `run_bench`, and `json` serves `report_json`; both are imported where they
@@ -7,8 +6,14 @@ are used.  No part of decoding hands work through a queue: the worker pool
 meets at barriers, and the lattice is built once after the decode, for
 either engine.  `import lsd_wfst.cli` and a whole `lsd-wfst decode`, LSD or
 FSD, serial or threaded, with or without a lattice, run in a fresh
-interpreter that must end with none of these modules loaded.  The script
-reports with `repr`, since `json` is one of the modules it looks for.
+interpreter that must end with none of these modules loaded.
+
+`cli` imports `bench`, `lattice` and `parallel` inside the commands and
+options that use them, and the records a plain decode makes are not
+dataclasses, so a plain decode loads none of them, nor `dataclasses` and
+its `inspect`.  `--lattice-out` adds `lattice` and `--workers 2` adds
+`parallel`.  The script reports with `repr`, since `json` is one of the
+modules it looks for.
 """
 
 import ast
@@ -26,12 +31,16 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(lsd_wfst.__file__)))
 BENCH_ONLY = ("statistics", "json", "fractions", "decimal")
 NOT_DECODING = ("queue",)  # no part of decoding hands work through a queue
 UNWANTED = BENCH_ONLY + NOT_DECODING
+ON_DEMAND = ("dataclasses", "inspect", "lsd_wfst.bench", "lsd_wfst.lattice",
+             "lsd_wfst.parallel")
 
-DECODE_SCRIPT = f"""\
+
+def _decode_script(watched):
+    return f"""\
 import sys
-unwanted = {UNWANTED!r}
+watched = {watched!r}
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in unwanted)
+    return sorted(m for m in sys.modules if m in watched or m.split(".")[0] in watched)
 import lsd_wfst.cli
 after_import = loaded()
 code = lsd_wfst.cli.main(sys.argv[1:])
@@ -39,7 +48,7 @@ print(repr({{"code": code, "after_import": after_import, "after_decode": loaded(
 """
 
 
-def _run(args, script=DECODE_SCRIPT):
+def _run(args, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
@@ -55,12 +64,17 @@ def _decode_args(paths, mode):
             "--beam", "8", "--max-active", "20"]
 
 
-def _assert_none_loaded(args):
-    transcript, report = _run(args)
+def _loaded(args, watched):
+    """The `watched` modules loaded by `import lsd_wfst.cli`, then by the
+    whole decode."""
+    transcript, report = _run(args, _decode_script(watched))
     assert report["code"] in (0, 3), report
     assert transcript, "decode printed no transcript"
-    assert report["after_import"] == [], report
-    assert report["after_decode"] == [], report
+    return report["after_import"], report["after_decode"]
+
+
+def _assert_none_loaded(args):
+    assert _loaded(args, UNWANTED) == ([], [])
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +104,29 @@ def test_threaded_lattice_decode_loads_no_queue(fixture_paths, mode):
     _assert_none_loaded(_decode_args(paths, mode) + [
         "--workers", "2", "--lattice-out", str(out / f"{mode}-threaded.lat"),
         "--lattice-beam", "2"])
+
+
+@pytest.mark.parametrize("mode", ["lsd", "fsd"])
+def test_plain_decode_loads_no_on_demand_module(fixture_paths, mode):
+    paths, _ = fixture_paths
+    assert _loaded(_decode_args(paths, mode), ON_DEMAND) == ([], [])
+
+
+@pytest.mark.parametrize("mode", ["lsd", "fsd"])
+def test_lattice_decode_loads_lattice_not_bench(fixture_paths, mode):
+    paths, out = fixture_paths
+    after_import, after_decode = _loaded(_decode_args(paths, mode) + [
+        "--lattice-out", str(out / f"{mode}-on-demand.lat"), "--lattice-beam", "2"], ON_DEMAND)
+    assert after_import == []
+    assert "lsd_wfst.lattice" in after_decode
+    assert "lsd_wfst.bench" not in after_decode and "lsd_wfst.parallel" not in after_decode
+
+
+@pytest.mark.parametrize("mode", ["lsd", "fsd"])
+def test_threaded_decode_loads_parallel_not_bench_or_lattice(fixture_paths, mode):
+    paths, _ = fixture_paths
+    assert _loaded(_decode_args(paths, mode) + ["--workers", "2"],
+                   ON_DEMAND) == ([], ["lsd_wfst.parallel"])
 
 
 def test_package_import_loads_no_submodule():

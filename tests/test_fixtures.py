@@ -43,7 +43,7 @@ def test_generators_deterministic_per_seed():
 @pytest.mark.parametrize("name,value", [
     ("eps_fraction", math.nan), ("eps_fraction", -0.1), ("eps_fraction", 1.5),
     ("final_fraction", math.nan), ("final_fraction", -2.0), ("final_fraction", math.inf),
-    ("num_labels", 0),
+    ("num_labels", 0), ("num_arcs", -5),
 ])
 def test_bad_random_graph_parameters_raise_before_drawing(name, value):
     rng = random.Random(5)

@@ -1,6 +1,5 @@
 """Dispatcher, the per-worker candidate merge, and parallel/serial equivalence."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -388,7 +387,10 @@ def _lattice_or_error(build):
 
 def _fields(result):
     """Every DecodeResult field, the cost compared bit for bit."""
-    return {**dataclasses.asdict(result), "total_cost": result.total_cost.hex()}
+    return {"total_cost": result.total_cost.hex(), "olabels": result.olabels,
+            "ilabels": result.ilabels, "search_steps": result.search_steps,
+            "tokens_expanded": result.tokens_expanded, "reached_final": result.reached_final,
+            "died_at_step": result.died_at_step}
 
 
 @settings(max_examples=150, deadline=None)
