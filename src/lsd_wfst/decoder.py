@@ -10,10 +10,12 @@ and is therefore exactly FSD on the non-blank frame subsequence.
 Recombination ties resolve by the total order (cost, predecessor state id,
 arc index), which makes results reproducible and lets the parallel engine
 match this module bit for bit.  A step recombines (cost, src, arc, prev)
-entries, and a surviving token's trace is its entry: prev links to the
-entry it came from, so the chain of entries is the backpointer store and
-the backtrace follows it to the start state's root entry.  A pruned
-branch is freed once no live entry links to it.
+entries into a candidate dict keyed by destination state.  Its survivors,
+the live tokens of the next step, are plain (state, cost, entry) tuples
+ordered by state id: entry's prev links to the entry it came from, so the
+chain of entries is the backpointer store and the backtrace follows it to
+the start state's root entry.  A pruned branch is freed once no live entry
+links to it.  Only the winner a decode picks is made a `Token`.
 
 `_search` is the one search driver.  It owns everything around the steps:
 the graph checks, the start closure, the recorder's step boundaries, search
@@ -22,17 +24,15 @@ costs start unscored, and `_emit` scores a label the first time a
 relaxation reads it (`posteriors.FrameCosts`).  Engines differ only in the
 step function they hand it.  A step is two halves: `_emit` relaxes tokens'
 emitting arcs into a candidate dict, and `_close_and_prune` runs the
-epsilon fixpoint and the pruning on it.  `viterbi_step` calls both on one
-dict; the threaded engine in `parallel` fans `_emit` out over per-worker
-dicts, merges them, and hands the result to the same `_close_and_prune`.
+epsilon fixpoint on it and prunes the survivors straight from it.
+`viterbi_step` calls both on one dict; the threaded engine in `parallel`
+fans `_emit` out over per-worker dicts, merges them, and hands the result
+to the same `_close_and_prune`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 from .posteriors import FrameCosts, PosteriorMatrix, classify_blank_frames, frame_costs
@@ -43,18 +43,14 @@ INF = math.inf
 # The start state's recombination entry (cost, src, arc, prev).
 ROOT_ENTRY = (0.0, -1, -1, None)
 
-# Sort keys over (state, cost, payload) pruning candidates.
-_STATE = itemgetter(0)
-_COST = itemgetter(1)
-_COST_STATE = itemgetter(1, 0)
-
 
 class Token(NamedTuple):
-    """One live hypothesis: a state, its accumulated cost, and its trace,
-    the recombination entry it came from.
+    """The hypothesis a decode picks: a state, its accumulated cost, and its
+    trace, the recombination entry it came from.
 
-    A tuple, so the search makes one from its (state, cost, entry) pruning
-    candidate with a single `tuple.__new__`.  The trace is left out of
+    Live tokens move between steps as plain (state, cost, entry) tuples;
+    a decode makes a `Token` only of the hypothesis it picks.  A `Token` is
+    such a tuple too, so a step takes either.  The trace is left out of
     equality, hashing and repr: each would walk the whole entry chain,
     recursively.
     """
@@ -74,9 +70,6 @@ class Token(NamedTuple):
 
     def __repr__(self):
         return f"Token(state={self[0]!r}, cost={self[1]!r})"
-
-
-_token = partial(tuple.__new__, Token)
 
 
 class DecodeConfig:
@@ -185,16 +178,23 @@ def _epsilon_fixpoint(wfst: Wfst, cand: dict, recorder=None, node_step: int = 0)
     cache = wfst.epsilon_cache
     get = cand.get
     # States without epsilon arcs are never queued: popping one is a no-op.
-    work = deque()
-    for u in sorted(cand):
+    # The FIFO queue is `work` from the read index `head` on; it starts
+    # with the candidates that have epsilon arcs, in state order.
+    work = []
+    for u in cand:
         arcs = cache[u]
         if arcs is None:
             arcs = wfst.epsilon_arcs(u)
         if arcs:
             work.append(u)
+    if not work:
+        return
+    work.sort()
     queued = set(work)
-    while work:
-        u = work.popleft()
+    head = 0
+    while head < len(work):
+        u = work[head]
+        head += 1
         queued.discard(u)
         entry = cand[u]
         ucost = entry[0]
@@ -217,33 +217,11 @@ def _epsilon_fixpoint(wfst: Wfst, cand: dict, recorder=None, node_step: int = 0)
                     queued.add(dst)
 
 
-def _prune_candidates(items: list[tuple], beam: float, max_active: int | None) -> list[tuple]:
-    """Beam and max-active pruning of (state, cost, payload) triples.
-
-    `items` must be ordered by state id, and the survivors keep that order.
-    A candidate survives iff cost <= best + beam; max-active then keeps the
-    cheapest entries under the (cost, state id) tie-break.
-    """
-    if not items:
-        return []
-    cutoff = min(items, key=_COST)[1] + beam
-    kept = [e for e in items if e[1] <= cutoff]
-    if max_active is not None and len(kept) > max_active:
-        kept = sorted(sorted(kept, key=_COST_STATE)[:max_active], key=_STATE)
-    return kept
-
-
-def _survivors(items: list[tuple], cfg: DecodeConfig) -> list[Token]:
-    """Prune the step's (state, cost, entry) candidates, ordered by state id;
-    each survivor's trace is its entry."""
-    return list(map(_token, _prune_candidates(items, cfg.beam, cfg.max_active)))
-
-
 def _emit(wfst: Wfst, tokens, costs, cand: dict,
           recorder=None, node_step: int = 0) -> None:
-    """Relax the emitting arcs of every token in `tokens` (any iterable)
-    against the frame's label costs, min-recombining into `cand` under the
-    (cost, src, arc) total order.
+    """Relax the emitting arcs of every (state, cost, entry) token in
+    `tokens` (any iterable) against the frame's label costs, min-recombining
+    into `cand` under the (cost, src, arc) total order.
 
     `costs` is a list indexed by label id or a `FrameCosts` row, whose
     cells are scored the first time a relaxation reads them.
@@ -253,10 +231,7 @@ def _emit(wfst: Wfst, tokens, costs, cand: dict,
         costs, score = costs.costs, costs.score
     get = cand.get
     cache = wfst.emitting_cache
-    for tok in tokens:
-        s = tok.state
-        tcost = tok.cost
-        ttrace = tok.trace
+    for s, tcost, ttrace in tokens:
         arcs = cache[s]
         if arcs is None:
             arcs = wfst.emitting_arcs(s)
@@ -278,33 +253,51 @@ def _emit(wfst: Wfst, tokens, costs, cand: dict,
 
 
 def _close_and_prune(wfst: Wfst, cand: dict, cfg: DecodeConfig,
-                     recorder=None, node_step: int = 0) -> list[Token]:
+                     recorder=None, node_step: int = 0) -> list[tuple]:
     """Epsilon-close the step's emitted candidates and prune them by beam
-    and max-active."""
+    and max-active.
+
+    Returns the survivors as (state, cost, entry) tuples ordered by state
+    id.  A candidate survives iff cost <= best + beam; max-active then keeps
+    the cheapest under the (cost, state id) tie-break.
+    """
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
-    return _survivors([(s, cand[s][0], cand[s]) for s in sorted(cand)], cfg)
+    if not cand:
+        return []
+    # The minimum is over costs only, and the sorts are over state ids, so
+    # no comparison reaches an entry's prev link.
+    cutoff = min([e[0] for e in cand.values()]) + cfg.beam
+    kept = [s for s, e in cand.items() if e[0] <= cutoff]
+    max_active = cfg.max_active
+    if max_active is not None and len(kept) > max_active:
+        kept = sorted(kept, key=lambda s: (cand[s][0], s))[:max_active]
+    kept.sort()
+    return [(s, (e := cand[s])[0], e) for s in kept]
 
 
-def viterbi_step(wfst: Wfst, live: list[Token], costs,
-                 cfg: DecodeConfig, step: int = 0, recorder=None) -> list[Token]:
+def viterbi_step(wfst: Wfst, live: list[tuple], costs,
+                 cfg: DecodeConfig, step: int = 0, recorder=None) -> list[tuple]:
     """One search step: emit, recombine, epsilon-propagate, prune.
 
-    `costs` holds per-label acoustic costs for the consumed frame, indexed
-    by label id.  An empty return signals search death.
+    `live` holds (state, cost, entry) tokens; `costs` holds per-label
+    acoustic costs for the consumed frame, indexed by label id.  Returns the
+    survivors as (state, cost, entry) tuples ordered by state id; an empty
+    return signals search death.
     """
     cand: dict[int, tuple] = {}
     _emit(wfst, live, costs, cand, recorder, step + 1)
     return _close_and_prune(wfst, cand, cfg, recorder, step + 1)
 
 
-def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, recorder=None) -> list[Token]:
+def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, recorder=None) -> list[tuple]:
     """Start token plus its epsilon closure, pruned like any other step."""
     return _close_and_prune(wfst, {wfst.start: ROOT_ENTRY}, cfg, recorder, 0)
 
 
-def final_transition(wfst: Wfst, live: list[Token]) -> tuple[Token, bool]:
-    """Apply final weights and pick the winner.
+def final_transition(wfst: Wfst, live: list[tuple]) -> tuple[Token, bool]:
+    """Apply final weights to the (state, cost, entry) tokens and pick the
+    winner, as a `Token`.
 
     Returns the argmin token over final states with its final weight folded
     into the cost (ties break toward the lower state id).  With no token on
@@ -313,26 +306,26 @@ def final_transition(wfst: Wfst, live: list[Token]) -> tuple[Token, bool]:
     """
     if not live:
         raise ValueError("final_transition needs at least one live token")
-    best: Token | None = None
-    for t in live:
-        fw = wfst.final_weight(t.state)
+    best: tuple | None = None
+    for s, cost, trace in live:
+        fw = wfst.final_weight(s)
         if fw == INF:
             continue
-        c = t.cost + fw
-        if best is None or c < best.cost or (c == best.cost and t.state < best.state):
-            best = Token(t.state, c, t.trace)
+        c = cost + fw
+        if best is None or c < best[1] or (c == best[1] and s < best[0]):
+            best = (s, c, trace)
     if best is not None:
-        return best, True
-    fallback = min(live, key=lambda t: (t.cost, t.state))
-    return fallback, False
+        return Token(*best), True
+    return Token(*min(live, key=lambda t: (t[1], t[0]))), False
 
 
-def backtrace(token: Token, wfst: Wfst) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Follow the entry links to the root; non-epsilon labels in path order."""
+def backtrace(token: tuple, wfst: Wfst) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Follow a (state, cost, entry) token's entry links to the root;
+    non-epsilon labels in path order."""
     olabels: list[int] = []
     ilabels: list[int] = []
     arc_ilabel, arc_olabel = wfst.arc_ilabel, wfst.arc_olabel
-    entry = token.trace
+    entry = token[2]
     while entry[3] is not None:
         ai = entry[2]
         if arc_olabel[ai] != 0:
@@ -371,7 +364,7 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     live = _initial_tokens(wfst, cfg, recorder)
     if recorder is not None:
         # The start stays a survivor, so the lattice stays rooted under any pruning.
-        recorder.survivors(0, tuple(sorted({wfst.start, *(t.state for t in live)})))
+        recorder.survivors(0, tuple(sorted({wfst.start, *(t[0] for t in live)})))
     expanded = 0
     steps_run = 0
     died_at: int | None = None
@@ -382,7 +375,7 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
             recorder.begin_step(s + 1)
         nxt = step(wfst, live, costs, cfg, s, recorder)
         if recorder is not None:
-            recorder.survivors(s + 1, tuple(t.state for t in nxt))
+            recorder.survivors(s + 1, tuple(t[0] for t in nxt))
         steps_run += 1
         if not nxt:
             died_at = s
@@ -393,7 +386,7 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         best, reached = final_transition(wfst, live)
         last_step = steps_run
     else:
-        best = min(live, key=lambda t: (t.cost, t.state))
+        best = Token(*min(live, key=lambda t: (t[1], t[0])))
         reached = False
         last_step = died_at  # node step of the last non-empty token set
 

@@ -95,15 +95,6 @@ class PosteriorMatrix:
     def blank_prob(self, frame: int) -> float:
         return self._row(frame)[self.blank_col]
 
-    def label_column(self, label: int) -> int:
-        """Matrix column of non-blank label id `label` (1-based)."""
-        if not 1 <= label <= self.num_nonblank_labels:
-            raise IndexError(f"label {label} out of range [1, {self.num_nonblank_labels}]")
-        return self._label_cols[label - 1]
-
-    def label_prob(self, frame: int, label: int) -> float:
-        return self._row(frame)[self.label_column(label)]
-
 
 def _flatten(rows) -> tuple[list[float], int, int]:
     """Row-major floats and (T, num_cols) of a numpy array or nested rows.

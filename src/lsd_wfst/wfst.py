@@ -257,11 +257,6 @@ class Wfst:
     def num_arcs(self) -> int:
         return len(self.arc_src)
 
-    def out_arcs(self, state: int) -> list[Arc]:
-        """All arcs leaving `state`, epsilon arcs first, in stored order."""
-        self._check_state(state)
-        return self.arcs[self.arc_offsets[state]:self.arc_offsets[state + 1]]
-
     def emitting_arcs(self, state: int) -> tuple[tuple[int, int, int, float], ...]:
         """`(arc index, dst, ilabel, weight)` for each emitting arc of `state`.
 
@@ -570,6 +565,11 @@ def _label_ids(tokens: list[str], table: SymbolTable | None,
     return list(map(known.__getitem__, tokens))
 
 
+# An arc whose reduced cost is at most this is tight: it may close a
+# zero-total epsilon cycle.
+_TIGHT_SLACK = 1e-12
+
+
 def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:
     """Detect an epsilon cycle with total weight <= 0, if any exists.
 
@@ -577,6 +577,19 @@ def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:
     total weight: such cycles converge under beam search and are accepted.
     Zero- or negative-weight epsilon cycles would make non-emitting
     propagation diverge, so one offending cycle is reported.
+    """
+    if not w.has_epsilon_arcs:
+        return None
+    eps = list(map(not_, w.arc_ilabel))
+    # With every epsilon arc heavier than the tight-arc slack, Bellman-Ford
+    # relaxes nothing and no arc is tight, so there is no cycle to find.
+    if min(compress(w.arc_weight, eps)) > _TIGHT_SLACK:
+        return None
+    return _find_epsilon_cycle(w, eps)
+
+
+def _find_epsilon_cycle(w: Wfst, eps: list[bool]) -> EpsilonCycle | None:
+    """`validate_epsilon_acyclic`'s search on the arcs `eps` marks.
 
     Strictly negative cycles fall out of Bellman-Ford directly.  When none
     exist, Bellman-Ford potentials make every arc's reduced cost
@@ -584,9 +597,6 @@ def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:
     zero-reduced-cost arcs; a plain DFS on that subgraph finds one.  This is
     exact even for the mixed-sign weights a permissive parse can let through.
     """
-    if not w.has_epsilon_arcs:
-        return None
-    eps = list(map(not_, w.arc_ilabel))
     edges: list[tuple[int, int, float]] = list(zip(
         compress(w.arc_src, eps), compress(w.arc_dst, eps), compress(w.arc_weight, eps)))
     n = w.num_states
@@ -623,7 +633,7 @@ def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:
     # No negative cycle; look for a zero-total cycle among tight arcs.
     tight: dict[int, list[int]] = {}
     for u, v, wt in edges:
-        if dist[u] + wt <= dist[v] + 1e-12:
+        if dist[u] + wt <= dist[v] + _TIGHT_SLACK:
             tight.setdefault(u, []).append(v)
     cycle = _find_cycle(tight, n)
     if cycle is not None:

@@ -3,9 +3,12 @@
 The path oracles enumerate paths outright: no recombination, no pruning,
 no shared code with the search. Costs accumulate in path order (prefix +
 arc weight + acoustic) so a correct decoder matches them to the last bit
-on tie-free instances and within 1e-9 otherwise. The reference parsers
-near the end read graph and posterior text one field at a time, the
-reference posterior checks are the numpy ones `PosteriorMatrix` ran before
+on tie-free instances and within 1e-9 otherwise. They read the graph and
+the posteriors through the accessors near the top, which the library
+does not need. `reference_prune` is the search's beam and max-active rule
+on state-ordered candidate triples. The reference parsers near the end
+read graph and posterior text one field at a time, the reference
+posterior checks are the numpy ones `PosteriorMatrix` ran before
 it checked in plain Python, and the reference lattice core at the end
 builds and prunes on `LatticeNode` keys.
 """
@@ -40,8 +43,25 @@ class OraclePath:
     ilabels: tuple[int, ...]
 
 
+def out_arcs(wfst: Wfst, state: int) -> list[Arc]:
+    """All arcs leaving `state`, epsilon arcs first, in stored order."""
+    wfst._check_state(state)
+    return wfst.arcs[wfst.arc_offsets[state]:wfst.arc_offsets[state + 1]]
+
+
+def label_column(posts: PosteriorMatrix, label: int) -> int:
+    """Matrix column of non-blank label id `label` (1-based)."""
+    if not 1 <= label <= posts.num_nonblank_labels:
+        raise IndexError(f"label {label} out of range [1, {posts.num_nonblank_labels}]")
+    return posts._label_cols[label - 1]
+
+
+def label_prob(posts: PosteriorMatrix, frame: int, label: int) -> float:
+    return posts._row(frame)[label_column(posts, label)]
+
+
 def _acoustic(posts: PosteriorMatrix, frame: int, label: int, scale: float) -> float:
-    prob = posts.label_prob(frame, label)
+    prob = label_prob(posts, frame, label)
     if prob <= 0.0:
         return INF
     return -scale * math.log(prob)
@@ -62,6 +82,23 @@ def frame_cost_table(p: PosteriorMatrix, frames: list[int],
     return table
 
 
+def reference_prune(items: list[tuple], beam: float, max_active: int | None) -> list[tuple]:
+    """The search's beam and max-active rule on (state, cost, payload) triples.
+
+    `items` must be ordered by state id, and the survivors keep that order.
+    A candidate survives iff cost <= best + beam; max-active then keeps the
+    cheapest entries under the (cost, state id) tie-break.
+    """
+    if not items:
+        return []
+    cutoff = min(items, key=lambda e: e[1])[1] + beam
+    kept = [e for e in items if e[1] <= cutoff]
+    if max_active is not None and len(kept) > max_active:
+        kept = sorted(sorted(kept, key=lambda e: (e[1], e[0]))[:max_active],
+                      key=lambda e: e[0])
+    return kept
+
+
 def enumerate_paths(wfst: Wfst, posts: PosteriorMatrix, frames: list[int],
                     scale: float = 1.0, max_paths: int | None = None) -> list[OraclePath]:
     """Every complete path consuming `frames` through emitting arcs.
@@ -80,7 +117,7 @@ def enumerate_paths(wfst: Wfst, posts: PosteriorMatrix, frames: list[int],
         fw = wfst.final_weight(state)
         if pos == len(frames) and fw != INF:
             out.append(OraclePath(cost + fw, olabs, ilabs))
-        for arc in wfst.out_arcs(state):
+        for arc in out_arcs(wfst, state):
             new_ol = olabs + (arc.olabel,) if arc.olabel != 0 else olabs
             if arc.ilabel == EPSILON:
                 go(arc.dst, pos, cost + arc.weight, new_ol, ilabs)
@@ -126,7 +163,7 @@ def enumerate_full_blank_paths(wfst: Wfst, posts: PosteriorMatrix,
             blank = posts.blank_prob(t)
             if blank > 0.0:
                 go(state, t + 1, cost + (-scale * math.log(blank)), olabs, ilabs)
-        for arc in wfst.out_arcs(state):
+        for arc in out_arcs(wfst, state):
             new_ol = olabs + (arc.olabel,) if arc.olabel != 0 else olabs
             if arc.ilabel == EPSILON:
                 go(arc.dst, t, cost + arc.weight, new_ol, ilabs)

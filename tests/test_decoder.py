@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsd_wfst.decoder import (
     ROOT_ENTRY,
     DecodeConfig,
     Token,
+    _close_and_prune,
     _initial_tokens,
     backtrace,
     decode_fsd,
@@ -21,10 +24,15 @@ from lsd_wfst.decoder import (
 )
 from lsd_wfst.fixtures import make_chain, make_random_posteriors, make_random_wfst
 from lsd_wfst.posteriors import PosteriorMatrix, classify_blank_frames
-from lsd_wfst.wfst import WfstError, parse_wfst_text
+from lsd_wfst.wfst import Wfst, WfstError, parse_wfst_text
 
 from conftest import posteriors_from_rows, random_instance, uniform_posteriors
-from oracles import best_oracle_paths, enumerate_full_blank_paths, enumerate_paths
+from oracles import (
+    best_oracle_paths,
+    enumerate_full_blank_paths,
+    enumerate_paths,
+    reference_prune,
+)
 
 INF = math.inf
 
@@ -43,9 +51,9 @@ class TestViterbiStep:
         cfg = DecodeConfig()
         out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, 0.2], cfg)
         assert len(out) == 1
-        tok = out[0]
-        assert tok.state == 1
-        assert tok.cost == pytest.approx(0.7)
+        state, cost, _ = out[0]
+        assert state == 1
+        assert cost == pytest.approx(0.7)
 
     def test_min_recombination(self):
         # Two sources relax into state 3; the 3.5 candidate must survive.
@@ -55,8 +63,9 @@ class TestViterbiStep:
         live = [root_token(1, 3.3), root_token(2, 3.7)]
         out = viterbi_step(w, live, [INF, 0.2], cfg)
         assert len(out) == 1
-        assert out[0].state == 3
-        assert out[0].cost == pytest.approx(3.5)
+        state, cost, _ = out[0]
+        assert state == 3
+        assert cost == pytest.approx(3.5)
 
     def test_equal_cost_tie_prefers_lower_predecessor_state(self):
         # Same total cost from states 1 and 2; olabels expose the winner.
@@ -79,12 +88,12 @@ class TestViterbiStep:
         costs = [INF, u, u, u, u]
         cfg = DecodeConfig()
         step1 = viterbi_step(diamond_wfst, [root_token(0)], costs, cfg, step=0)
-        assert sorted(t.state for t in step1) == [1, 2]
+        assert sorted(t[0] for t in step1) == [1, 2]
         step2 = viterbi_step(diamond_wfst, step1, costs, cfg, step=1)
         assert len(step2) == 1
         join = step2[0]
-        assert join.state == 3
-        assert join.cost == pytest.approx(1.1 + 2 * u)
+        assert join[0] == 3
+        assert join[1] == pytest.approx(1.1 + 2 * u)
         olabels, ilabels = backtrace(join, diamond_wfst)
         assert olabels == (1, 2)
         assert ilabels == (1, 2)
@@ -94,27 +103,52 @@ class TestViterbiStep:
         text = "0 1 1 1 0.5\n1 2 0 0 0.25\n2 0.0"
         w = parse_wfst_text(text)
         out = viterbi_step(w, [root_token(0)], [INF, 0.1], DecodeConfig())
-        by_state = {t.state: t for t in out}
+        by_state = {t[0]: t for t in out}
         assert set(by_state) == {1, 2}
-        assert by_state[2].cost == pytest.approx(0.85)
+        assert by_state[2][1] == pytest.approx(0.85)
 
     def test_beam_pruning_relative_to_best(self):
         text = "0 1 1 1 0.0\n0 2 2 2 5.0\n1 0.0\n2 0.0"
         w = parse_wfst_text(text)
         cfg = DecodeConfig(beam=1.0)
         out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1], cfg)
-        assert [t.state for t in out] == [1]
+        assert [t[0] for t in out] == [1]
 
     def test_max_active_keeps_cheapest(self):
         text = "0 1 1 1 0.3\n0 2 2 2 0.2\n0 3 3 3 0.1\n1\n2\n3"
         w = parse_wfst_text(text)
         cfg = DecodeConfig(max_active=2)
         out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1, 0.1], cfg)
-        assert [t.state for t in out] == [2, 3]
+        assert [t[0] for t in out] == [2, 3]
 
     def test_empty_result_signals_death(self, one_arc_wfst):
         out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, INF], DecodeConfig())
         assert out == []
+
+
+@st.composite
+def tie_heavy_prunes(draw):
+    """A candidate dict over states 0..15, in drawn insertion order, with
+    costs from a 3-value grid, and a beam and max-active to prune it by."""
+    states = draw(st.lists(st.integers(0, 15), unique=True, max_size=12))
+    cand = {s: (draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(-1, 15)), s, None)
+            for s in states}
+    beam = draw(st.sampled_from([0.0, 0.5, INF]))
+    max_active = draw(st.sampled_from([None, *range(1, len(cand) + 1)]))
+    return cand, beam, max_active
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_prunes())
+def test_close_and_prune_equals_reference_prune(prune):
+    """Without epsilon arcs, `_close_and_prune` is the reference beam and
+    max-active rule on the candidates' (state, cost, entry) triples."""
+    cand, beam, max_active = prune
+    want = reference_prune([(s, cand[s][0], cand[s]) for s in sorted(cand)], beam, max_active)
+    got = _close_and_prune(Wfst(16, 0, [], {0: 0.0}), dict(cand),
+                           DecodeConfig(beam=beam, max_active=max_active))
+    assert got == want
+    assert all(entry is cand[state] for state, _, entry in got)
 
 
 class TestDecodeFsd:

@@ -16,9 +16,8 @@ from lsd_wfst.decoder import (
     ROOT_ENTRY,
     DecodeConfig,
     Token,
+    _close_and_prune,
     _emit,
-    _prune_candidates,
-    _survivors,
     decode,
     decode_fsd,
     decode_lsd,
@@ -36,6 +35,7 @@ from lsd_wfst.posteriors import PosteriorMatrix
 from lsd_wfst.wfst import Arc, Wfst
 
 from conftest import GRID, random_instance, tie_heavy_instances, uniform_posteriors
+from oracles import reference_prune
 
 INF = math.inf
 
@@ -133,33 +133,32 @@ class TestMerge:
 
 
 class TestAggregateSurvivors:
-    """Merged candidates feed the serial survivor path as the (state, cost,
-    entry) triples ordered by state id that `_survivors` takes."""
+    """Merged candidates feed the serial `_close_and_prune`, which returns
+    (state, cost, entry) survivors ordered by state id."""
 
-    @staticmethod
-    def _items(merged):
-        return [(s, merged[s][0], merged[s]) for s in sorted(merged)]
+    # No epsilon arcs, so `_close_and_prune` only prunes.
+    NO_EPS = Wfst(8, 0, [], {0: 0.0})
 
     def test_compacts_in_state_order(self):
         merged = _merge([{7: (1.0, 0, 0, None)}, {2: (3.0, 0, 0, None), 5: (2.0, 0, 0, None)}])
-        queue = _survivors(self._items(merged), DecodeConfig())
-        assert [t.state for t in queue] == [2, 5, 7]
-        assert [t.cost for t in queue] == [3.0, 2.0, 1.0]
+        queue = _close_and_prune(self.NO_EPS, merged, DecodeConfig())
+        assert [t[0] for t in queue] == [2, 5, 7]
+        assert [t[1] for t in queue] == [3.0, 2.0, 1.0]
 
     def test_all_empty_slots_mean_search_death(self):
         merged = _merge([{}, {}])
         assert merged == {}
-        assert _survivors(self._items(merged), DecodeConfig()) == []
+        assert _close_and_prune(self.NO_EPS, merged, DecodeConfig()) == []
 
     def test_pruning_cut_matches_serial_rule_mid_tie(self):
         items = [(0, 1.0), (1, 2.0), (2, 2.0), (3, 2.0), (4, 5.0)]
         parts = [{s: (c, 0, s, None) for s, c in items[::2]},
                  {s: (c, 0, s, None) for s, c in items[1::2]}]
-        got = _survivors(self._items(_merge(parts)), DecodeConfig(beam=3.0, max_active=3))
-        want = _prune_candidates([(s, c, None) for s, c in items], 3.0, 3)
-        assert [(t.state, t.cost) for t in got] == [(s, c) for s, c, _ in want]
+        got = _close_and_prune(self.NO_EPS, _merge(parts), DecodeConfig(beam=3.0, max_active=3))
+        want = reference_prune([(s, c, None) for s, c in items], 3.0, 3)
+        assert [(t[0], t[1]) for t in got] == [(s, c) for s, c, _ in want]
         # Equal costs 2.0 at states 1,2,3: the cut keeps the lower state ids.
-        assert [t.state for t in got] == [0, 1, 2]
+        assert [t[0] for t in got] == [0, 1, 2]
 
 
 class TestWorkerPool:

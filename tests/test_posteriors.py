@@ -17,7 +17,7 @@ from lsd_wfst.posteriors import (
     load_posteriors,
 )
 
-from oracles import frame_cost_table
+from oracles import frame_cost_table, label_column, label_prob
 
 
 class TestLoadText:
@@ -189,10 +189,10 @@ class TestAcousticCost:
     def test_label_column_mapping_skips_blank(self):
         rows = np.array([[0.25, 0.7, 0.05]])
         p = PosteriorMatrix(rows, blank_col=1)  # blank in the middle
-        assert p.label_column(1) == 0
-        assert p.label_column(2) == 2
-        assert p.label_prob(0, 1) == 0.25
-        assert p.label_prob(0, 2) == 0.05
+        assert label_column(p, 1) == 0
+        assert label_column(p, 2) == 2
+        assert label_prob(p, 0, 1) == 0.25
+        assert label_prob(p, 0, 2) == 0.05
 
     def test_frame_costs_indexing(self):
         rows = np.array([[0.1, 0.4, 0.5]])

@@ -21,7 +21,7 @@ from lsd_wfst.parallel import parallel_decode
 from lsd_wfst.posteriors import FrameCosts, PosteriorMatrix, frame_costs
 
 from conftest import grid_instance, random_instance
-from oracles import frame_cost_table
+from oracles import frame_cost_table, label_column
 
 INF = math.inf
 LABELS = 3  # four columns: blank first (0), in the middle (2) or last (3)
@@ -135,7 +135,7 @@ def test_table_is_scaled_negative_log_of_each_label_column(blank_col):
     for f, row in zip(frames, table):
         assert row[0] == INF
         for label in range(1, LABELS + 1):
-            prob = posts.rows[f, posts.label_column(label)]
+            prob = posts.rows[f, label_column(posts, label)]
             want = -0.7 * math.log(prob) if prob > 0 else INF
             assert row[label].hex() == want.hex()
 

@@ -7,18 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsd_wfst.decoder import DecodeConfig, decode
 from lsd_wfst.fixtures import make_random_wfst
 from lsd_wfst.wfst import (
     EPSILON,
     Arc,
+    EpsilonCycle,
     ParseError,
     SymbolError,
     SymbolTable,
     Wfst,
     WfstError,
+    _find_epsilon_cycle,
     parse_wfst_text,
     validate_epsilon_acyclic,
 )
+
+from conftest import uniform_posteriors
+from oracles import out_arcs
 
 
 class TestParse:
@@ -27,7 +33,7 @@ class TestParse:
         assert w.num_states == 2
         assert w.start == 0
         assert w.num_arcs == 1
-        arc = w.out_arcs(0)[0]
+        arc = out_arcs(w, 0)[0]
         assert (arc.src, arc.dst, arc.ilabel, arc.olabel, arc.weight) == (0, 1, 1, 1, 0.5)
         assert w.final_weights == {1: 0.0}
 
@@ -68,7 +74,7 @@ class TestParse:
         isyms = SymbolTable({"a": 1, "b": 2})
         osyms = SymbolTable({"x": 1})
         w = parse_wfst_text("0 1 a x 0.5\n1", isyms, osyms)
-        arc = w.out_arcs(0)[0]
+        arc = out_arcs(w, 0)[0]
         assert arc.ilabel == 1
         assert arc.olabel == 1
 
@@ -93,7 +99,7 @@ class TestParse:
 
     def test_negative_weight_permissive(self):
         w = parse_wfst_text("0 1 1 1 -0.5\n1", allow_negative_weights=True)
-        assert w.out_arcs(0)[0].weight == -0.5
+        assert out_arcs(w, 0)[0].weight == -0.5
 
     def test_empty_text(self):
         with pytest.raises(ParseError):
@@ -103,26 +109,26 @@ class TestParse:
 class TestOutArcs:
     def test_no_arcs(self):
         w = parse_wfst_text("0 1 1 1 0.5\n1 0.0")
-        assert w.out_arcs(1) == []
+        assert out_arcs(w, 1) == []
 
     def test_self_loop_present(self):
         w = parse_wfst_text("7 7 3 3 0.5\n7 0.0")
-        arcs = w.out_arcs(7)
+        arcs = out_arcs(w, 7)
         assert any(a.dst == a.src for a in arcs)
 
     def test_one_arc_out(self):
         w = parse_wfst_text("0 1 1 1 0.5\n1 0.0")
-        assert [a.dst for a in w.out_arcs(0)] == [1]
+        assert [a.dst for a in out_arcs(w, 0)] == [1]
 
     def test_bounds_error(self):
         w = parse_wfst_text("0 1 1 1 0.5\n1 0.0")
         with pytest.raises(IndexError):
-            w.out_arcs(5)
+            out_arcs(w, 5)
 
     def test_epsilon_prefix_split(self):
         text = "0 1 0 0 0.1\n0 2 1 1 0.2\n0 3 0 5 0.3\n1\n2\n3\n"
         w = parse_wfst_text(text)
-        arcs = w.out_arcs(0)
+        arcs = out_arcs(w, 0)
         split = w.eps_split[0] - w.arc_offsets[0]
         assert all(a.ilabel == EPSILON for a in arcs[:split])
         assert all(a.ilabel != EPSILON for a in arcs[split:])
@@ -134,11 +140,11 @@ class TestOutArcs:
                              eps_fraction=0.3, selfloops=True)
         visited = []
         for s in range(w.num_states):
-            visited.extend(w.out_arcs(s))
+            visited.extend(out_arcs(w, s))
         assert len(visited) == w.num_arcs
         assert sorted(map(id, visited)) == sorted(map(id, w.arcs))
         for s in range(w.num_states):
-            eps = sum(a.ilabel == EPSILON for a in w.out_arcs(s))
+            eps = sum(a.ilabel == EPSILON for a in out_arcs(w, s))
             assert w.eps_split[s] == w.arc_offsets[s] + eps
         assert w.has_epsilon_arcs == any(a.ilabel == EPSILON for a in w.arcs)
         assert w.max_ilabel == max(a.ilabel for a in w.arcs)
@@ -190,6 +196,47 @@ class TestEpsilonValidation:
     def test_positive_multi_state_cycle_accepted(self):
         w = parse_wfst_text("0 1 0 0 0.5\n1 0 0 0 0.5\n1 0.0")
         assert validate_epsilon_acyclic(w) is None
+
+    def test_self_loop_within_the_tight_slack_is_a_cycle(self):
+        """A 1e-13 epsilon self-loop is within the 1e-12 tight-arc slack:
+        it is reported, and decoding refuses the graph."""
+        w = parse_wfst_text("0 0 0 0 1e-13\n0")
+        assert validate_epsilon_acyclic(w) == EpsilonCycle((0,), 1e-13)
+        with pytest.raises(WfstError, match="epsilon cycle"):
+            decode(w, uniform_posteriors(1, 1), DecodeConfig(mode="fsd"))
+        assert validate_epsilon_acyclic(parse_wfst_text("0 0 0 0 1.1e-12\n0")) is None
+
+
+# Epsilon weight families: above the tight-arc slack, zero, within it, negative.
+_WEIGHT_FAMILIES = {
+    "positive": [2e-12, 0.5, 1.0, math.inf],
+    "zero": [0.0],
+    "tiny": [1e-13, 1e-12],
+    "negative": [-1e-13, -0.5],
+}
+
+
+@st.composite
+def epsilon_graphs(draw):
+    """A graph of up to 5 states whose arcs are mostly epsilon arcs, with
+    weights from one or more of the families above."""
+    n = draw(st.integers(1, 5))
+    families = draw(st.sets(st.sampled_from(sorted(_WEIGHT_FAMILIES)), min_size=1))
+    weights = [wt for f in sorted(families) for wt in _WEIGHT_FAMILIES[f]]
+    arc = st.builds(Arc, st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.sampled_from([EPSILON, EPSILON, 1]), st.just(0), st.sampled_from(weights))
+    return Wfst(n, 0, draw(st.lists(arc, max_size=8)), {0: 0.0})
+
+
+@settings(max_examples=400, deadline=None)
+@given(epsilon_graphs())
+def test_epsilon_check_equals_the_full_search(w):
+    """The check's shortcut (every epsilon arc above the tight-arc slack)
+    never changes its answer: it equals the full Bellman-Ford and tight-arc
+    search on the same arcs."""
+    eps = [il == EPSILON for il in w.arc_ilabel]
+    want = _find_epsilon_cycle(w, eps) if any(eps) else None
+    assert validate_epsilon_acyclic(w) == want
 
 
 class TestSymbolTable:
