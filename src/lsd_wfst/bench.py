@@ -3,7 +3,8 @@
 Search wall time covers the search only (graph and posterior loading
 excluded) and is reported as the median over repeats; `lsd-wfst bench`
 reports its one timed load of symbols, graph and posteriors as
-`load_wall_time_s`.  Step counts follow the reduction law directly:
+`load_wall_time_s`, and the posterior part of it as
+`posteriors_load_wall_time_s`.  Step counts follow the reduction law directly:
 label-synchronous decoding performs exactly T - |U| steps for T frames of
 which |U| are blank.  The harness asserts that law before reporting and
 refuses to emit a report that violates it.
@@ -46,6 +47,7 @@ class BenchReport:
     modes: dict[str, ModeStats] = field(default_factory=dict)
     speedups: dict[str, float] = field(default_factory=dict)
     load_wall_time_s: float | None = None
+    posteriors_load_wall_time_s: float | None = None
 
 
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
@@ -124,6 +126,8 @@ def report_text(report: BenchReport) -> str:
             f"repeats={report.repeats}")
     if report.load_wall_time_s is not None:
         head += f" load_wall={report.load_wall_time_s:.6f}s"
+    if report.posteriors_load_wall_time_s is not None:
+        head += f" posts_load={report.posteriors_load_wall_time_s:.6f}s"
     lines = [head, "config: " + " ".join(f"{k}={v}" for k, v in report.config.items())]
     for mode, st in report.modes.items():
         lines.append(
@@ -152,6 +156,7 @@ def report_json(report: BenchReport) -> str:
         "blank_frames": report.blank_frames,
         "repeats": report.repeats,
         "load_wall_time_s": report.load_wall_time_s,
+        "posteriors_load_wall_time_s": report.posteriors_load_wall_time_s,
         "config": report.config,
         "modes": {
             mode: {

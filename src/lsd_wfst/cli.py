@@ -97,12 +97,14 @@ def _load_symbols(path: str | None) -> SymbolTable | None:
 
 
 def _load_inputs(args):
+    """Graph, posteriors and symbol tables, and the posterior load's wall time."""
     isyms = _load_symbols(args.isyms)
     osyms = _load_symbols(args.osyms)
     with open(args.graph, "r", encoding="utf-8") as fh:
         graph = parse_wfst_text(fh.read(), isyms, osyms)
+    t0 = time.perf_counter()
     posts = load_posteriors(args.posts, strict=args.strict_posteriors)
-    return graph, posts, isyms, osyms
+    return graph, posts, isyms, osyms, time.perf_counter() - t0
 
 
 def _config_from_args(args) -> DecodeConfig:
@@ -123,7 +125,7 @@ def _transcript_line(olabels: tuple[int, ...], cost: float, osyms: SymbolTable |
 
 def cmd_decode(args) -> int:
     cfg = _config_from_args(args)
-    graph, posts, _, osyms = _load_inputs(args)
+    graph, posts, _, osyms, _ = _load_inputs(args)
 
     recorder = None
     if args.lattice_out:
@@ -161,7 +163,7 @@ def cmd_bench(args) -> int:
 
     cfg = _config_from_args(args)
     t0 = time.perf_counter()
-    graph, posts, _, _ = _load_inputs(args)
+    graph, posts, _, _, posts_s = _load_inputs(args)
     load_s = time.perf_counter() - t0
     try:
         report = run_bench(graph, posts, cfg, modes=args.modes, repeats=args.repeats,
@@ -170,6 +172,7 @@ def cmd_bench(args) -> int:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     report.load_wall_time_s = load_s
+    report.posteriors_load_wall_time_s = posts_s
     if args.report == "json":
         sys.stdout.write(report_json(report))
     else:

@@ -259,15 +259,18 @@ def _close_and_prune(wfst: Wfst, cand: dict, cfg: DecodeConfig,
 
     Returns the survivors as (state, cost, entry) tuples ordered by state
     id.  A candidate survives iff cost <= best + beam; max-active then keeps
-    the cheapest under the (cost, state id) tie-break.
+    the cheapest under the (cost, state id) tie-break.  An infinite beam
+    keeps every candidate whose cost is not NaN, even when the best is -inf.
     """
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
     if not cand:
         return []
     # The minimum is over costs only, and the sorts are over state ids, so
-    # no comparison reaches an entry's prev link.
-    cutoff = min([e[0] for e in cand.values()]) + cfg.beam
+    # no comparison reaches an entry's prev link.  An infinite beam cuts at
+    # +inf, since best + beam is NaN when the best is -inf.
+    beam = cfg.beam
+    cutoff = INF if beam == INF else min([e[0] for e in cand.values()]) + beam
     kept = [s for s, e in cand.items() if e[0] <= cutoff]
     max_active = cfg.max_active
     if max_active is not None and len(kept) > max_active:

@@ -305,27 +305,30 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
 
 
 def _parse_body(body: list[str], num_cols: int) -> list[float]:
-    """The text body as row-major floats, from one pass over every token.
+    """The text body as row-major floats, each distinct line parsed once.
 
-    A body with a short or long row, or a value float() rejects, goes
-    through the row-by-row parse, which names the row.  Each row's tokens
-    are dropped once read: a list per row, all alive at once, would be
-    promoted by the garbage collector and bring on extra full collections.
+    A line seen before copies the values of its first parse, so repeated
+    blank rows cost one parse.  A short or long row, or a value float()
+    rejects, sends the body through the row-by-row parse, which names the
+    row.  Only each distinct line's offset in `flat` is kept: a list per
+    row, all alive at once, would be promoted by the garbage collector and
+    bring on extra full collections.
     """
-    widths = set()
-
-    def split(line: str) -> list[str]:
-        tokens = line.split()
-        widths.add(len(tokens))
-        return tokens
-
-    try:
-        flat = list(map(float, chain.from_iterable(map(split, body))))
-    except ValueError:
-        flat = None
-    if flat is not None and widths <= {num_cols}:
-        return flat
-    return _parse_rows(body, num_cols)
+    flat: list[float] = []
+    first: dict[str, int] = {}
+    for line in body:
+        at = first.get(line)
+        if at is not None:
+            flat += flat[at:at + num_cols]
+            continue
+        at = first[line] = len(flat)
+        try:
+            flat += map(float, line.split())
+        except ValueError:
+            return _parse_rows(body, num_cols)
+        if len(flat) - at != num_cols:
+            return _parse_rows(body, num_cols)
+    return flat
 
 
 def _parse_rows(body: list[str], num_cols: int) -> list[float]:

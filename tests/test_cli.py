@@ -297,6 +297,7 @@ class TestBenchCommand:
         assert "steps=100" in out
         assert "steps=10" in out
         assert "load_wall=" in out
+        assert "posts_load=" in out
 
     def test_json_report_schema(self, tmp_path, capsys):
         prefix = self._gen(tmp_path)
@@ -311,6 +312,7 @@ class TestBenchCommand:
         assert payload["frames"] == 100
         assert payload["blank_frames"] == 90
         assert payload["load_wall_time_s"] > 0
+        assert 0 < payload["posteriors_load_wall_time_s"] <= payload["load_wall_time_s"]
         assert set(payload["modes"]) == {"fsd-serial", "lsd-serial", "lsd-parallel"}
         for stats in payload["modes"].values():
             assert stats["search_wall_time_s"] > 0

@@ -423,6 +423,14 @@ class TestPruningAndDeterminism:
             first_hit = costs.index(reference.total_cost)
             assert all(c == reference.total_cost for c in costs[first_hit:])
 
+    def test_infinite_beam_keeps_a_minus_inf_best(self):
+        """best + beam is NaN when the best costs -inf; an infinite beam
+        must still keep every candidate rather than none."""
+        w = parse_wfst_text("0 1 1 1 -inf\n0 2 1 1 1.0\n1\n2\n", allow_negative_weights=True)
+        r = decode_fsd(w, PosteriorMatrix([[0.1, 0.9]], 0), DecodeConfig(mode="fsd"))
+        assert r.died_at_step is None
+        assert (r.total_cost, r.olabels, r.reached_final) == (-INF, (1,), True)
+
     @pytest.mark.parametrize("value", [math.nan, 2.5, INF, -INF, 0, -3, "4", True])
     def test_max_active_must_be_a_positive_int(self, value):
         with pytest.raises(ValueError, match=f"max_active must be None or an int >= 1, "

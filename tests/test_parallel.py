@@ -32,7 +32,7 @@ from lsd_wfst.parallel import (
     parallel_decode,
 )
 from lsd_wfst.posteriors import PosteriorMatrix
-from lsd_wfst.wfst import Arc, Wfst
+from lsd_wfst.wfst import Arc, Wfst, parse_wfst_text
 
 from conftest import GRID, random_instance, tie_heavy_instances, uniform_posteriors
 from oracles import reference_prune
@@ -203,6 +203,15 @@ class TestParallelDecode:
             par = parallel_decode(w, p, cfg, workers=workers, group_size=group,
                                   debug_epoch=True)
             assert par == serial
+
+    def test_infinite_beam_keeps_a_minus_inf_best(self):
+        w = parse_wfst_text("0 1 1 1 -inf\n0 2 1 1 1.0\n1\n2\n", allow_negative_weights=True)
+        p = PosteriorMatrix([[0.1, 0.9]], 0)
+        cfg = DecodeConfig(mode="fsd")
+        r = parallel_decode(w, p, cfg, workers=2, group_size=1)
+        assert r.died_at_step is None
+        assert (r.total_cost, r.olabels, r.reached_final) == (-INF, (1,), True)
+        assert r == decode_fsd(w, p, cfg)
 
     def test_tie_heavy_graphs_equal_serial(self):
         for seed in range(10):

@@ -5,7 +5,8 @@ NaN, infinities, negative zero, overflowing finite rows and row sums at the
 edge of the tolerance included, it must raise what the numpy checks it
 replaced raise, with the same message, or log the same warning and hold the
 same values.  Formatting and parsing must round-trip every value exactly,
-and POST1 must hold the values as little-endian float64.
+and POST1 must hold the values as little-endian float64.  Text that repeats
+rows must load, fail or warn as the matrix it spells out.
 """
 
 import logging
@@ -202,3 +203,141 @@ def test_rows_is_read_only():
 def test_error_class_is_posterior_format_error(rows):
     with pytest.raises(PosteriorFormatError):
         PosteriorMatrix(rows, 0, strict=True)
+
+
+# Posterior text whose body repeats a few distinct rows.  Each distinct line
+# is parsed once and its repeats copied, so every repeat must still read,
+# fail and warn as the row it copies would at its own frame.
+
+BAD_TOKENS = {
+    "non-finite": ["nan", "inf", "-inf", "1e999"],
+    "out of range": ["-0.5", "1.5", "-1e-300"],
+    "unparseable": ["abc", "0.5x", "1,0", "--1"],
+}
+FILLERS = ["", "   ", "\t", "#", "# 0.5 0.5", "  # comment"]
+
+
+@st.composite
+def _row_tokens(draw, width):
+    """A row's tokens: one that sums to 1, or one with a single defect."""
+    kind = draw(st.sampled_from(["sum to 1", "sum to 1", "sum off", "wrong width",
+                                 *BAD_TOKENS]))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))
+    total = math.fsum(weights) or 1.0
+    target = draw(st.sampled_from(EDGE_SUMS + [0.9, 1.1])) if kind == "sum off" else 1.0
+    fmt = draw(st.sampled_from([repr, "{:.6g}".format]))
+    tokens = [fmt(w * target / total) for w in weights]
+    if kind in BAD_TOKENS:
+        tokens[draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_TOKENS[kind]))
+    elif kind == "wrong width":
+        tokens = tokens[:-1] if width > 1 and draw(st.booleans()) else tokens + ["0.0"]
+    return tokens
+
+
+@st.composite
+def _spelling(draw, tokens):
+    """One text line of `tokens`, with whitespace inside and around it."""
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", " \t"]),
+                         min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    line = tokens[0] + "".join(sep + tok for sep, tok in zip(seps, tokens[1:]))
+    lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "  "]))
+    return lead + line + trail
+
+
+@st.composite
+def _repeated_texts(draw):
+    """Posterior text from a few distinct rows, each spelt one or two ways,
+    repeated in any order with comment and blank lines between them; and
+    the token rows the body spells out, in frame order, its width and its
+    blank column."""
+    width = draw(st.sampled_from([1, 2, 3, 5, 9, 21]))
+    spellings = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = draw(_row_tokens(width))
+        for _ in range(draw(st.integers(1, 2))):
+            spellings.append((draw(_spelling(tokens)), tokens))
+    order = draw(st.lists(st.integers(0, len(spellings) - 1), min_size=1, max_size=14))
+    blank_col = draw(st.integers(0, width - 1))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{len(order)} {width} blank={blank_col}"]
+    for i in order:
+        lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+        lines.append(spellings[i][0])
+    return end.join(lines) + end, [spellings[i][1] for i in order], width, blank_col
+
+
+def _text_rows(text, _blank_col, strict):
+    return load_posteriors(text.encode(), strict=strict).rows
+
+
+def _reference_text_checks(width):
+    """The text format read row by row: the first row with the wrong width
+    or a value float() rejects is named, else the numpy checks run on the
+    whole matrix."""
+
+    def check(token_rows, blank_col, strict):
+        rows = []
+        for i, tokens in enumerate(token_rows):
+            if len(tokens) != width:
+                raise PosteriorFormatError(f"row {i} has {len(tokens)} values, expected {width}")
+            try:
+                rows.append([float(t) for t in tokens])
+            except ValueError:
+                raise PosteriorFormatError(f"row {i} has an unparseable value") from None
+        return reference_posterior_checks(rows, blank_col, strict)
+
+    return check
+
+
+def _assert_text_same(text, token_rows, width, blank_col, strict):
+    got = _outcome(_text_rows, text, blank_col, strict)
+    want = _outcome(_reference_text_checks(width), token_rows, blank_col, strict)
+    assert got == want
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_repeated_texts(), strict=st.booleans())
+def test_repeated_lines_match_the_expanded_reference(case, strict):
+    """Values bit for bit, or the same error, and the same warning naming
+    the same first bad row, as the matrix the body spells out."""
+    _assert_text_same(*case, strict)
+
+
+GOOD = ["0.25", "0.5", "0.25"]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["0.25", "0.5", "0.2"], "row 5 sums to 0.950000, outside 1 +/- 0.0001"),
+    (["0.5", "0.5"], "row 5 has 2 values, expected 3"),
+    (["0.25", "0.5x", "0.25"], "row 5 has an unparseable value"),
+    (["0.25", "nan", "0.25"], "matrix contains non-finite values"),
+    (["0.25", "1.5", "0.25"], "probabilities must lie in [0, 1]"),
+], ids=["sum-off", "wrong-width", "unparseable", "non-finite", "out-of-range"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_bad_row_first_seen_at_frame_5_and_repeated(bad, message, strict):
+    token_rows = [GOOD] * 5 + [bad, GOOD, bad, GOOD, GOOD, bad]
+    body = [" ".join(tokens) for tokens in token_rows]
+    body[7] = "\t" + "  ".join(bad)  # the same row spelt another way
+    text = "\n".join([f"{len(body)} 3 blank=0", *body[:6], "# between repeats", "",
+                      *body[6:]]) + "\n"
+    result, messages = _assert_text_same(text, token_rows, 3, 0, strict)
+    if message.startswith("row 5 sums") and not strict:
+        assert result[0] == "ok"
+        assert messages == [(logging.WARNING,
+                             f"{message} (continuing; pass strict=True to reject)")]
+    else:
+        assert result == ("error", PosteriorFormatError, message)
+        assert messages == []
+
+
+@pytest.mark.parametrize("line,warns", [("0.25 0.5 0.25", False), ("0.25 0.5 0.2", True)])
+def test_all_identical_body(line, warns):
+    text = "60 3 blank=1\n" + f"{line}\n" * 60
+    p = load_posteriors(text.encode())
+    assert p.rows.shape == (60, 3)
+    assert _hex(p) == [float(t).hex() for t in line.split()] * 60
+    for strict in (False, True):
+        result, messages = _assert_text_same(text, [line.split()] * 60, 3, 1, strict)
+        assert len(messages) == (warns and not strict)
+        assert (result[0] == "error") == (warns and strict)
