@@ -25,8 +25,8 @@ import time
 from . import __version__
 from .decoder import (BENCH_MODES, DEFAULT_BENCH_MODES, DecodeConfig, check_bench_modes,
                       decode)
-from .posteriors import PosteriorFormatError, load_posteriors
-from .wfst import ParseError, SymbolError, SymbolTable, WfstError, parse_wfst_text
+from .posteriors import load_posteriors
+from .wfst import SymbolTable, WfstError, parse_wfst_text
 
 log = logging.getLogger("lsd_wfst.cli")
 
@@ -183,17 +183,11 @@ def cmd_bench(args) -> int:
 def cmd_gen(args) -> int:
     from .fixtures import generate_fixture  # imports numpy, which decoding does not need
 
-    params = {}
-    for key in ("states", "arcs", "labels", "frames"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    params["blank_fraction"] = args.blank_fraction
-    if args.kind in ("random", "chain"):
-        params["selfloops"] = args.selfloops
-    if args.kind == "random":
-        params["eps_fraction"] = args.eps_fraction
-        params["final_fraction"] = args.final_fraction
+    # Only the flags given: `generate_fixture` has every default and
+    # rejects a parameter the kind does not take.
+    params = {key: value for key in ("states", "arcs", "labels", "frames", "blank_fraction",
+                                     "eps_fraction", "final_fraction", "selfloops")
+              if (value := getattr(args, key)) is not None}
     paths = generate_fixture(args.kind, args.out_prefix, seed=args.seed,
                              binary_posteriors=args.binary_posts, **params)
     for key, path in sorted(paths.items()):
@@ -244,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--arcs", type=int, default=None)
     p_gen.add_argument("--labels", type=int, default=None)
     p_gen.add_argument("--frames", type=int, default=None)
-    p_gen.add_argument("--blank-fraction", type=float, default=0.0)
-    p_gen.add_argument("--eps-fraction", type=float, default=0.0)
-    p_gen.add_argument("--final-fraction", type=float, default=0.25)
-    p_gen.add_argument("--selfloops", action="store_true")
+    p_gen.add_argument("--blank-fraction", type=float, default=None)
+    p_gen.add_argument("--eps-fraction", type=float, default=None)
+    p_gen.add_argument("--final-fraction", type=float, default=None)
+    p_gen.add_argument("--selfloops", action="store_true", default=None)
     p_gen.add_argument("--binary-posts", action="store_true")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -266,8 +260,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, SymbolError, WfstError, PosteriorFormatError,
-            ValueError) as exc:  # lattice.LatticeError is a ValueError
+    except (OSError, WfstError, ValueError) as exc:
+        # ParseError, SymbolError: WfstErrors; PosteriorFormatError, LatticeError: ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

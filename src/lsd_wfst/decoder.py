@@ -15,7 +15,7 @@ the live tokens of the next step, are plain (state, cost, entry) tuples
 ordered by state id: entry's prev links to the entry it came from, so the
 chain of entries is the backpointer store and the backtrace follows it to
 the start state's root entry.  A pruned branch is freed once no live entry
-links to it.  Only the winner a decode picks is made a `Token`.
+links to it.  The winner a decode picks is such a tuple too.
 
 `_search` is the one search driver.  It owns everything around the steps:
 the graph checks, the start closure, the recorder's step boundaries, search
@@ -42,34 +42,6 @@ INF = math.inf
 
 # The start state's recombination entry (cost, src, arc, prev).
 ROOT_ENTRY = (0.0, -1, -1, None)
-
-
-class Token(NamedTuple):
-    """The hypothesis a decode picks: a state, its accumulated cost, and its
-    trace, the recombination entry it came from.
-
-    Live tokens move between steps as plain (state, cost, entry) tuples;
-    a decode makes a `Token` only of the hypothesis it picks.  A `Token` is
-    such a tuple too, so a step takes either.  The trace is left out of
-    equality, hashing and repr: each would walk the whole entry chain,
-    recursively.
-    """
-
-    state: int
-    cost: float
-    trace: tuple
-
-    def __eq__(self, other):
-        return other.__class__ is Token and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
-
-    def __repr__(self):
-        return f"Token(state={self[0]!r}, cost={self[1]!r})"
 
 
 class DecodeConfig:
@@ -293,19 +265,15 @@ def viterbi_step(wfst: Wfst, live: list[tuple], costs,
     return _close_and_prune(wfst, cand, cfg, recorder, step + 1)
 
 
-def _initial_tokens(wfst: Wfst, cfg: DecodeConfig, recorder=None) -> list[tuple]:
-    """Start token plus its epsilon closure, pruned like any other step."""
-    return _close_and_prune(wfst, {wfst.start: ROOT_ENTRY}, cfg, recorder, 0)
-
-
-def final_transition(wfst: Wfst, live: list[tuple]) -> tuple[Token, bool]:
+def final_transition(wfst: Wfst, live: list[tuple]) -> tuple[tuple, bool]:
     """Apply final weights to the (state, cost, entry) tokens and pick the
-    winner, as a `Token`.
+    winner, a (state, cost, entry) tuple too.
 
     Returns the argmin token over final states with its final weight folded
     into the cost (ties break toward the lower state id).  With no token on
     a final state, falls back to the global min-cost token unchanged and
-    reports False.
+    reports False.  Do not hash, compare or print the winner: its entry
+    chain is as deep as the decode, and each would walk it recursively.
     """
     if not live:
         raise ValueError("final_transition needs at least one live token")
@@ -318,8 +286,8 @@ def final_transition(wfst: Wfst, live: list[tuple]) -> tuple[Token, bool]:
         if best is None or c < best[1] or (c == best[1] and s < best[0]):
             best = (s, c, trace)
     if best is not None:
-        return Token(*best), True
-    return Token(*min(live, key=lambda t: (t[1], t[0]))), False
+        return best, True
+    return min(live, key=lambda t: (t[1], t[0])), False
 
 
 def backtrace(token: tuple, wfst: Wfst) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -349,11 +317,12 @@ def _check_compatible(wfst: Wfst, posts: PosteriorMatrix) -> None:
 
 
 def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
-            frames: list[int], recorder=None, step=viterbi_step) -> DecodeResult:
-    """Decode `frames` with the step function `step`, which has
-    `viterbi_step`'s signature and results.  Only this driver reports step
-    boundaries to the recorder: `begin_step(k)` before node step k and
-    `survivors(k, states)` after it."""
+            recorder=None, step=viterbi_step) -> DecodeResult:
+    """Decode the frames `select_frames` picks with the step function
+    `step`, which has `viterbi_step`'s signature and results.  Only this
+    driver reports step boundaries to the recorder: `begin_step(k)` before
+    node step k and `survivors(k, states)` after it."""
+    frames = select_frames(posts, cfg)
     cycle = wfst.epsilon_cycle()
     if cycle is not None:
         raise WfstError(
@@ -364,7 +333,7 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     rows = frame_costs(posts, frames, cfg.acoustic_scale)
     if recorder is not None:
         recorder.begin_step(0)
-    live = _initial_tokens(wfst, cfg, recorder)
+    live = _close_and_prune(wfst, {wfst.start: ROOT_ENTRY}, cfg, recorder, 0)
     if recorder is not None:
         # The start stays a survivor, so the lattice stays rooted under any pruning.
         recorder.survivors(0, tuple(sorted({wfst.start, *(t[0] for t in live)})))
@@ -389,15 +358,15 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         best, reached = final_transition(wfst, live)
         last_step = steps_run
     else:
-        best = Token(*min(live, key=lambda t: (t[1], t[0])))
+        best = min(live, key=lambda t: (t[1], t[0]))
         reached = False
         last_step = died_at  # node step of the last non-empty token set
 
     olabels, ilabels = backtrace(best, wfst)
     if recorder is not None:
-        recorder.finish(last_step, best.state, reached)
+        recorder.finish(last_step, best[0], reached)
     return DecodeResult(
-        total_cost=best.cost,
+        total_cost=best[1],
         olabels=olabels,
         ilabels=ilabels,
         search_steps=steps_run,
@@ -422,4 +391,4 @@ def decode_lsd(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
 def decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
            recorder=None) -> DecodeResult:
     """Decode in cfg.mode."""
-    return _search(wfst, posts, cfg, select_frames(posts, cfg), recorder)
+    return _search(wfst, posts, cfg, recorder)

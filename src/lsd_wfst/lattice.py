@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .wfst import ID_LIMIT, Wfst
+from .wfst import ID_LIMIT, Wfst, _check_spelling
 
 INF = math.inf
 
@@ -464,6 +464,7 @@ def parse_lattice_text(text: str) -> Lattice:
             or not head[1].startswith("nodes=") or not head[2].startswith("arcs=")):
         raise LatticeError(f"bad lattice header {lines[0]!r}")
     try:
+        _check_spelling(lines[0])
         n_nodes = int(head[1][len("nodes="):])
         n_arcs = int(head[2][len("arcs="):])
     except ValueError:
@@ -478,6 +479,7 @@ def parse_lattice_text(text: str) -> Lattice:
             if fields[0] == "N":
                 if len(fields) not in (4, 6) or (len(fields) == 6 and fields[4] != "final"):
                     raise LatticeError(f"bad node line {ln!r}")
+                _check_spelling(ln)
                 idx = int(fields[1])
                 if idx != len(nodes):
                     raise LatticeError(f"node ids must be dense and ordered; got {ln!r}")
@@ -487,6 +489,7 @@ def parse_lattice_text(text: str) -> Lattice:
             elif fields[0] == "A":
                 if len(fields) != 7:
                     raise LatticeError(f"bad arc line {ln!r}")
+                _check_spelling(ln)
                 arcs.append(LatticeArc(int(fields[1]), int(fields[2]), _parse_id(fields[3], ln),
                                        _parse_id(fields[4], ln), _parse_cost(fields[5], ln),
                                        _parse_cost(fields[6], ln), tie=len(arcs)))

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import threading
 
-from .decoder import (DecodeConfig, DecodeResult, _close_and_prune, _emit, _search,
-                      select_frames)
+from .decoder import DecodeConfig, DecodeResult, _close_and_prune, _emit, _search
 from .posteriors import PosteriorMatrix
 from .wfst import Wfst
 
@@ -169,4 +168,4 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         return _close_and_prune(wfst, _merge(parts), cfg, recorder, step + 1)
 
     with WorkerPool(workers) as pool:
-        return _search(wfst, posts, cfg, select_frames(posts, cfg), recorder, threaded_step)
+        return _search(wfst, posts, cfg, recorder, threaded_step)

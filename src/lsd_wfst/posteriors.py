@@ -24,6 +24,8 @@ from itertools import chain, compress
 from operator import not_
 from typing import NamedTuple
 
+from .wfst import _check_spelling
+
 log = logging.getLogger("lsd_wfst.posteriors")
 
 ROW_SUM_TOLERANCE = 1e-4
@@ -288,6 +290,7 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
         raise PosteriorFormatError(
             f"bad header {lines[0]!r}; expected 'T num_cols blank=<col>'")
     try:
+        _check_spelling(lines[0])
         num_frames = int(header[0])
         num_cols = int(header[1])
         blank_col = int(header[2][len("blank="):])
@@ -307,40 +310,28 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
 def _parse_body(body: list[str], num_cols: int) -> list[float]:
     """The text body as row-major floats, each distinct line parsed once.
 
-    A line seen before copies the values of its first parse, so repeated
-    blank rows cost one parse.  A short or long row, or a value float()
-    rejects, sends the body through the row-by-row parse, which names the
-    row.  Only each distinct line's offset in `flat` is kept: a list per
-    row, all alive at once, would be promoted by the garbage collector and
-    bring on extra full collections.
+    A line seen before copies its first parse, so repeated blank rows cost
+    one parse.  A new line must hold `num_cols` values float() takes, and
+    no `_` or non-ASCII character; the first that does not names its row,
+    the first bad row, since a repeat was checked where it first occurred.
+    Only each distinct line's offset in `flat` is kept: a list per row, all
+    alive at once, would be promoted by the garbage collector and bring on
+    extra full collections.
     """
     flat: list[float] = []
     first: dict[str, int] = {}
-    for line in body:
+    for i, line in enumerate(body):
         at = first.get(line)
         if at is not None:
             flat += flat[at:at + num_cols]
             continue
-        at = first[line] = len(flat)
-        try:
-            flat += map(float, line.split())
-        except ValueError:
-            return _parse_rows(body, num_cols)
-        if len(flat) - at != num_cols:
-            return _parse_rows(body, num_cols)
-    return flat
-
-
-def _parse_rows(body: list[str], num_cols: int) -> list[float]:
-    """Row-by-row parse of the posterior text body with per-row errors."""
-    flat: list[float] = []
-    for i, ln in enumerate(body):
-        vals = ln.split()
+        vals = line.split()
         if len(vals) != num_cols:
-            raise PosteriorFormatError(
-                f"row {i} has {len(vals)} values, expected {num_cols}")
+            raise PosteriorFormatError(f"row {i} has {len(vals)} values, expected {num_cols}")
+        first[line] = len(flat)
         try:
-            flat += [float(v) for v in vals]
+            _check_spelling(line)
+            flat += map(float, vals)
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
     return flat

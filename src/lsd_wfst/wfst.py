@@ -49,6 +49,13 @@ _BLOCK_LINES = 2048
 _LINE_END = "\0"
 
 
+def _check_spelling(text: str) -> None:
+    """Raise ValueError on a `_` or a non-ASCII character in a number's
+    text: spellings int() and float() take but no writer makes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+
+
 class WfstError(Exception):
     """Base class for transducer construction and parsing failures."""
 
@@ -144,6 +151,7 @@ class SymbolTable:
                 raise ParseError(f"expected 'symbol id', got {raw!r}", line_no)
             sym, id_tok = fields
             try:
+                _check_spelling(id_tok)
                 idx = int(id_tok)
             except ValueError:
                 raise ParseError(f"bad id {id_tok!r}", line_no) from None
@@ -369,6 +377,7 @@ def _resolve_label(token: str, table: SymbolTable | None, line_no: int) -> int:
         if idx is not None:
             return idx
     try:
+        _check_spelling(token)
         idx = int(token)
     except ValueError:
         raise SymbolError(f"line {line_no}: unknown symbol {token!r}") from None
@@ -426,9 +435,9 @@ class _GraphReader:
         column by column, and return the number of lines taken.
 
         Returns 0, having appended nothing, if any line of that run needs
-        the checking loop: a signed, non-decimal or oversized id, an unknown
-        label, or a weight that is NaN, malformed or (unless allowed)
-        negative.
+        the checking loop: a signed, non-ASCII, non-decimal or oversized id,
+        an unknown label, or a weight that is NaN, malformed (a `_` or a
+        non-ASCII character included) or (unless allowed) negative.
         """
         n = len(block)
         # No line holds a line-end token of its own (`parse_wfst_text` reads
@@ -443,7 +452,8 @@ class _GraphReader:
                 return 0
             tokens = tokens[:6 * n - 1]
         src_tokens, dst_tokens = tokens[0::6], tokens[1::6]
-        if not ("".join(src_tokens).isdecimal() and "".join(dst_tokens).isdecimal()):
+        ids = "".join(src_tokens) + "".join(dst_tokens)
+        if not (ids.isascii() and ids.isdecimal()):
             return 0
         il = _label_ids(tokens[2::6], self.isyms, self.ilabel_ids)
         ol = _label_ids(tokens[3::6], self.osyms, self.olabel_ids)
@@ -452,6 +462,7 @@ class _GraphReader:
         try:
             src = list(map(int, src_tokens))  # ValueError past int()'s digit limit
             dst = list(map(int, dst_tokens))
+            _check_spelling("".join(tokens[4::6]))
             w = list(map(float, tokens[4::6]))
         except ValueError:
             return 0
@@ -478,6 +489,7 @@ class _GraphReader:
 
         def parse_state(tok: str, line_no: int) -> int:
             try:
+                _check_spelling(tok)
                 s = int(tok)
             except ValueError:
                 raise ParseError(f"bad state id {tok!r}", line_no) from None
@@ -487,6 +499,7 @@ class _GraphReader:
 
         def parse_weight(tok: str, line_no: int) -> float:
             try:
+                _check_spelling(tok)
                 w = float(tok)
             except ValueError:
                 raise ParseError(f"bad weight {tok!r}", line_no) from None
@@ -546,14 +559,15 @@ class _GraphReader:
 def _label_ids(tokens: list[str], table: SymbolTable | None,
                known: dict[str, int]) -> list[int] | None:
     """The ids of label tokens.  Each distinct token is resolved once into
-    `known`: through the table if there is one, else as a decimal integer.
-    None if a token is neither, or its id is not below `ID_LIMIT`."""
+    `known`: through the table if there is one, else as an ASCII decimal
+    integer.  None if a token is neither, or its id is not below `ID_LIMIT`."""
     new = set(tokens).difference(known)
     if new:
         symbols = table._sym_to_id if table is not None else {}
         named = new.intersection(symbols)
         numbers = new.difference(named)
-        if numbers and not "".join(numbers).isdecimal():
+        digits = "".join(numbers)
+        if numbers and not (digits.isascii() and digits.isdecimal()):
             return None
         try:
             ids = [*map(symbols.__getitem__, named), *map(int, numbers)]

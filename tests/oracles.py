@@ -217,6 +217,14 @@ def assert_same_paths(actual, expected, tol: float = 1e-9) -> None:
 # errors.
 
 
+def reference_number(convert, tok: str):
+    """`convert(tok)`, but ValueError on a `_` or a non-ASCII character:
+    int() and float() take such spellings, and no writer makes them."""
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return convert(tok)
+
+
 def reference_resolve_label(token: str, table: SymbolTable | None, line_no: int) -> int:
     """Symbol-table lookup with a bare-integer fallback for table-less fixtures."""
     if table is not None:
@@ -224,7 +232,7 @@ def reference_resolve_label(token: str, table: SymbolTable | None, line_no: int)
         if idx is not None:
             return idx
     try:
-        idx = int(token)
+        idx = reference_number(int, token)
     except ValueError:
         raise SymbolError(f"line {line_no}: unknown symbol {token!r}") from None
     if idx < 0:
@@ -250,7 +258,7 @@ def reference_parse_wfst_text(text: str, isyms: SymbolTable | None = None,
 
     def parse_state(tok: str, line_no: int) -> int:
         try:
-            s = int(tok)
+            s = reference_number(int, tok)
         except ValueError:
             raise ParseError(f"bad state id {tok!r}", line_no) from None
         if s < 0:
@@ -259,7 +267,7 @@ def reference_parse_wfst_text(text: str, isyms: SymbolTable | None = None,
 
     def parse_weight(tok: str, line_no: int) -> float:
         try:
-            w = float(tok)
+            w = reference_number(float, tok)
         except ValueError:
             raise ParseError(f"bad weight {tok!r}", line_no) from None
         if math.isnan(w):
@@ -308,9 +316,9 @@ def reference_load_text(text: str, strict: bool) -> PosteriorMatrix:
         raise PosteriorFormatError(
             f"bad header {lines[0]!r}; expected 'T num_cols blank=<col>'")
     try:
-        num_frames = int(header[0])
-        num_cols = int(header[1])
-        blank_col = int(header[2][len("blank="):])
+        num_frames = reference_number(int, header[0])
+        num_cols = reference_number(int, header[1])
+        blank_col = reference_number(int, header[2][len("blank="):])
     except ValueError:
         raise PosteriorFormatError(f"bad header {lines[0]!r}") from None
     if num_frames < 0 or num_cols < 1:
@@ -327,7 +335,7 @@ def reference_load_text(text: str, strict: bool) -> PosteriorMatrix:
             raise PosteriorFormatError(
                 f"row {i} has {len(vals)} values, expected {num_cols}")
         try:
-            rows[i] = [float(v) for v in vals]
+            rows[i] = [reference_number(float, v) for v in vals]
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
     return PosteriorMatrix(rows, blank_col, strict=strict)

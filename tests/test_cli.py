@@ -265,13 +265,19 @@ class TestGenCommand:
         assert graph.num_arcs == 3
         assert all(a.src == a.dst == 0 for a in graph.arcs)
 
-    @pytest.mark.parametrize("kind,flag,name", [
-        ("diamond", "--labels", "labels"),
-        ("diamond", "--states", "states"),
-        ("chain", "--arcs", "arcs"),
-    ])
-    def test_parameter_the_kind_does_not_take_exits_2(self, tmp_path, capsys, kind, flag, name):
-        code = run_cli(["gen", "--kind", kind, flag, "5", "--out-prefix", str(tmp_path / "x")])
+    # A flag that has a default is passed only when given, so that
+    # `generate_fixture` rejects it too.  Each id names the flag alone.
+    @pytest.mark.parametrize("kind,extra,name", [
+        ("diamond", ["--labels", "5"], "labels"),
+        ("diamond", ["--states", "5"], "states"),
+        ("chain", ["--arcs", "5"], "arcs"),
+        ("diamond", ["--eps-fraction", "0.3"], "eps_fraction"),
+        ("chain", ["--final-fraction", "0.9"], "final_fraction"),
+        ("diamond", ["--selfloops"], "selfloops"),
+        ("chain", ["--eps-fraction", "0.5"], "eps_fraction"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_parameter_the_kind_does_not_take_exits_2(self, tmp_path, capsys, kind, extra, name):
+        code = run_cli(["gen", "--kind", kind, *extra, "--out-prefix", str(tmp_path / "x")])
         assert code == 2
         assert f"error: fixture kind {kind!r} takes no {name!r} parameter" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())

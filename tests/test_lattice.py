@@ -413,6 +413,10 @@ class TestLatticeText:
         "N 0 0 0 final -inf", "A 0 0 1 1 -inf 0.0", "A 0 0 1 1 0.0 -inf",
         "N 0 -3 0", "N 0 0 -1", "N 0 2147483648 0", "A 0 0 -4 1 0.0 0.0",
         "A 0 0 1 -9 0.0 0.0", "A 0 0 2147483648 1 0.0 0.0", "A 0 0 1 2147483648 0.0 0.0",
+        # int() and float() take `_` between digits and non-ASCII digits; the
+        # writer spells no number so.
+        "N 0 0 1_0", "N ０ 0 0", "N 0 0 0 final 1_0.0", "N 0 0 0 final ０.5",
+        "A 0 0 1 1 0.2_5 0.0", "A 0 0 1 1 0.0 1_0.0", "A 0 0 １ 1 0.0 0.0", "A 0_0 0 1 1 0.0 0.0",
     ])
     def test_malformed_field_rejected(self, line):
         text = "LATTICE nodes=1 arcs=1\nN 0 0 0\nA 0 0 1 1 0.0 0.0\n"
@@ -422,6 +426,12 @@ class TestLatticeText:
             text = text.replace("A 0 0 1 1 0.0 0.0", line)
         with pytest.raises(LatticeError, match="lattice line"):
             parse_lattice_text(text)
+
+    @pytest.mark.parametrize("header", ["LATTICE nodes=1_0 arcs=0", "LATTICE nodes=1 arcs=０"])
+    def test_header_number_spellings_no_writer_makes_rejected(self, header):
+        with pytest.raises(LatticeError) as err:
+            parse_lattice_text(header + "\n")
+        assert str(err.value) == f"bad lattice header {header!r}"
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(LatticeError):

@@ -15,7 +15,6 @@ from lsd_wfst import parallel
 from lsd_wfst.decoder import (
     ROOT_ENTRY,
     DecodeConfig,
-    Token,
     _close_and_prune,
     _emit,
     decode,
@@ -117,7 +116,7 @@ class TestMerge:
         arcs = [Arc(s, 0, 1 + s % 2, 0, w) for s in range(1, 9) for w in (0.0, 0.5)]
         arcs += [Arc(s, s, 1, 0, 1.0) for s in range(1, 9)]
         wfst = Wfst(9, 0, arcs, {0: 0.0})
-        tokens = [Token(s, 1.0, ROOT_ENTRY) for s in range(1, 9)]
+        tokens = [(s, 1.0, ROOT_ENTRY) for s in range(1, 9)]
         costs = [INF, 0.25, 0.25]
         want: dict = {}
         _emit(wfst, tokens, costs, want)

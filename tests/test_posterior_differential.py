@@ -26,7 +26,7 @@ from lsd_wfst.posteriors import (
     load_posteriors,
 )
 
-from oracles import reference_posterior_checks
+from oracles import reference_number, reference_posterior_checks
 
 ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1e308, -0.5, -1e-300,
               1 + 1e-12, math.nextafter(1 + 1e-12, 2.0), 5e-324, 0.5]
@@ -272,8 +272,8 @@ def _text_rows(text, _blank_col, strict):
 
 def _reference_text_checks(width):
     """The text format read row by row: the first row with the wrong width
-    or a value float() rejects is named, else the numpy checks run on the
-    whole matrix."""
+    or a value `reference_number` rejects is named, else the numpy checks
+    run on the whole matrix."""
 
     def check(token_rows, blank_col, strict):
         rows = []
@@ -281,7 +281,7 @@ def _reference_text_checks(width):
             if len(tokens) != width:
                 raise PosteriorFormatError(f"row {i} has {len(tokens)} values, expected {width}")
             try:
-                rows.append([float(t) for t in tokens])
+                rows.append([reference_number(float, t) for t in tokens])
             except ValueError:
                 raise PosteriorFormatError(f"row {i} has an unparseable value") from None
         return reference_posterior_checks(rows, blank_col, strict)
@@ -305,20 +305,20 @@ def test_repeated_lines_match_the_expanded_reference(case, strict):
 
 
 GOOD = ["0.25", "0.5", "0.25"]
-
-
-@pytest.mark.parametrize("bad,message", [
+OTHER = ["0.5", "0.125", "0.375"]
+# A row with one defect, first seen at frame 5, and what loading it says.
+BAD_AT_5 = pytest.mark.parametrize("bad,message", [
     (["0.25", "0.5", "0.2"], "row 5 sums to 0.950000, outside 1 +/- 0.0001"),
     (["0.5", "0.5"], "row 5 has 2 values, expected 3"),
     (["0.25", "0.5x", "0.25"], "row 5 has an unparseable value"),
     (["0.25", "nan", "0.25"], "matrix contains non-finite values"),
     (["0.25", "1.5", "0.25"], "probabilities must lie in [0, 1]"),
-], ids=["sum-off", "wrong-width", "unparseable", "non-finite", "out-of-range"])
-@pytest.mark.parametrize("strict", [False, True])
-def test_bad_row_first_seen_at_frame_5_and_repeated(bad, message, strict):
-    token_rows = [GOOD] * 5 + [bad, GOOD, bad, GOOD, GOOD, bad]
-    body = [" ".join(tokens) for tokens in token_rows]
-    body[7] = "\t" + "  ".join(bad)  # the same row spelt another way
+    (["0.5x", "0.5"], "row 5 has 2 values, expected 3"),
+], ids=["sum-off", "wrong-width", "unparseable", "non-finite", "out-of-range",
+        "wrong-width-and-unparseable"])
+
+
+def _assert_bad_at_5(token_rows, body, message, strict):
     text = "\n".join([f"{len(body)} 3 blank=0", *body[:6], "# between repeats", "",
                       *body[6:]]) + "\n"
     result, messages = _assert_text_same(text, token_rows, 3, 0, strict)
@@ -329,6 +329,33 @@ def test_bad_row_first_seen_at_frame_5_and_repeated(bad, message, strict):
     else:
         assert result == ("error", PosteriorFormatError, message)
         assert messages == []
+    return result
+
+
+@BAD_AT_5
+@pytest.mark.parametrize("strict", [False, True])
+def test_bad_row_first_seen_at_frame_5_and_repeated(bad, message, strict):
+    """The bad row's first occurrence is named, and a row both the wrong
+    width and unparseable is named for its width."""
+    token_rows = [GOOD] * 5 + [bad, GOOD, bad, GOOD, GOOD, bad]
+    body = [" ".join(tokens) for tokens in token_rows]
+    body[7] = "\t" + "  ".join(bad)  # the same row spelt another way
+    _assert_bad_at_5(token_rows, body, message, strict)
+
+
+@BAD_AT_5
+@pytest.mark.parametrize("strict", [False, True])
+def test_good_lines_repeated_after_a_bad_one(bad, message, strict):
+    """Good lines first seen before and after the bad row at frame 5, each
+    repeated after it: where the bad row only warns, every repeat holds the
+    values of its own first parse."""
+    token_rows = [GOOD, OTHER, GOOD, OTHER, GOOD, bad, OTHER, [*reversed(OTHER)], GOOD,
+                  [*reversed(OTHER)], OTHER]
+    body = [" ".join(tokens) for tokens in token_rows]
+    result = _assert_bad_at_5(token_rows, body, message, strict)
+    if result[0] == "ok":
+        assert np.frombuffer(result[2]).reshape(11, 3)[6:].tolist() == [
+            [float(t) for t in row] for row in token_rows[6:]]
 
 
 @pytest.mark.parametrize("line,warns", [("0.25 0.5 0.25", False), ("0.25 0.5 0.2", True)])

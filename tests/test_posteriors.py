@@ -63,6 +63,22 @@ class TestLoadText:
         with pytest.raises(PosteriorFormatError):
             load_posteriors(b"2 3\n0.98 0.01 0.01\n0.1 0.7 0.2\n")
 
+    @pytest.mark.parametrize("header", ["1_0 2 blank=0", "1 ２ blank=0", "1 2 blank=0_0"])
+    def test_header_number_spellings_no_writer_makes_rejected(self, header):
+        with pytest.raises(PosteriorFormatError) as err:
+            load_posteriors(f"{header}\n0.25 0.75\n".encode())
+        assert str(err.value) == f"bad header {header!r}"
+
+    @pytest.mark.parametrize("row", ["0.2_5 0.75", "０.25 0.75", "0.25 0.7５", "1_0e-1 0.9"])
+    def test_body_number_spellings_no_writer_makes_rejected(self, row):
+        """float() takes `_` between digits and non-ASCII digits; no
+        posterior writer spells a value so."""
+        text = f"4 2 blank=0\n0.5 0.5\n{row}\n0.5 0.5\n{row}\n"
+        for strict in (False, True):
+            with pytest.raises(PosteriorFormatError) as err:
+                load_posteriors(text.encode(), strict=strict)
+            assert str(err.value) == "row 1 has an unparseable value"
+
     def test_blank_col_out_of_range(self):
         with pytest.raises(PosteriorFormatError):
             load_posteriors(b"1 2 blank=5\n0.5 0.5\n")

@@ -93,6 +93,31 @@ class TestParse:
             parse_wfst_text("0 1 1 1 0.5\n1 oops\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("lead", [0, 2100], ids=["first-block", "second-block"])
+    @pytest.mark.parametrize("line,message", [
+        ("0 1 1 1 0.2_5", "bad weight '0.2_5'"),
+        ("0 1 1 1 1_0", "bad weight '1_0'"),
+        ("0 1 1 1 ０.5", "bad weight '０.5'"),
+        ("0 1_0 1 1 0.5", "bad state id '1_0'"),
+        ("１ 1 1 1 0.5", "bad state id '１'"),
+        ("0 1 1_2 1 0.5", "unknown symbol '1_2'"),
+        ("0 1 1 １ 0.5", "unknown symbol '１'"),
+        ("1 0.2_5", "bad weight '0.2_5'"),
+        ("1_0", "bad state id '1_0'"),
+    ])
+    def test_number_spellings_no_writer_makes_rejected(self, lead, line, message):
+        """int() and float() take `_` between digits and non-ASCII digits;
+        no AT&T writer spells a state, label or weight so."""
+        text = "0 1 1 1 0.5\n" * lead + line + "\n1\n"
+        with pytest.raises(WfstError) as err:
+            parse_wfst_text(text)
+        assert str(err.value) == f"line {lead + 1}: {message}"
+
+    def test_symbol_names_keep_any_characters(self):
+        table = SymbolTable.parse("<eps> 0\n1_2 1\n１ 2\n")
+        w = parse_wfst_text("0 1 1_2 １ 0.5\n1\n", table, table)
+        assert _arc_set(w) == {(0, 1, 1, 2, 0.5)}
+
     def test_negative_weight_rejected_by_default(self):
         with pytest.raises(ParseError):
             parse_wfst_text("0 1 1 1 -0.5\n1")
@@ -253,6 +278,12 @@ class TestSymbolTable:
     def test_duplicate_mapping_rejected(self):
         with pytest.raises(ParseError):
             SymbolTable.parse("a 1\na 2\n")
+
+    @pytest.mark.parametrize("id_tok", ["1_0", "１", "1０"])
+    def test_id_spellings_no_writer_makes_rejected(self, id_tok):
+        with pytest.raises(ParseError) as err:
+            SymbolTable.parse(f"<eps> 0\na {id_tok}\n")
+        assert str(err.value) == f"line 2: bad id {id_tok!r}"
 
     def test_format_round_trip(self):
         table = SymbolTable({"a": 1, "b": 2})
