@@ -47,17 +47,22 @@ class PosteriorMatrix:
 
     @classmethod
     def _from_flat(cls, flat: list[float], num_frames: int, num_labels: int,
-                   blank_col: int, strict: bool = False) -> "PosteriorMatrix":
+                   blank_col: int, strict: bool = False,
+                   distinct=None) -> "PosteriorMatrix":
+        """`distinct`, if given, is `(values, frames)`: the distinct rows of
+        `flat`, row-major, and the frame where each first occurs.  Only
+        they are checked, which judges every row of `flat` the same way."""
         self = cls.__new__(cls)
-        self._init(flat, num_frames, num_labels, blank_col, strict)
+        self._init(flat, num_frames, num_labels, blank_col, strict, distinct)
         return self
 
-    def _init(self, flat, num_frames, num_labels, blank_col, strict):
+    def _init(self, flat, num_frames, num_labels, blank_col, strict, distinct=None):
         if num_labels < 1:
             raise PosteriorFormatError("matrix needs at least the blank column")
         if not 0 <= blank_col < num_labels:
             raise PosteriorFormatError(f"blank column {blank_col} out of range [0, {num_labels})")
-        _check_values(flat, num_labels, strict)
+        values, frames = (flat, None) if distinct is None else distinct
+        _check_values(values, frames, num_labels, strict)
         self._flat = flat
         self._shape = (num_frames, num_labels)
         self._rows = None
@@ -121,8 +126,16 @@ def _flatten(rows) -> tuple[list[float], int, int]:
     return [float(v) for v in chain.from_iterable(rows.tolist())], shape[0], shape[1]
 
 
-def _check_values(flat: list[float], num_cols: int, strict: bool) -> None:
+def _check_values(flat: list[float], frames: list[int] | None, num_cols: int,
+                  strict: bool) -> None:
     """Finite values in [0, 1] and row sums within the tolerance of 1.
+
+    Row k of `flat` is frame `frames[k]` (frame k if `frames` is None).  A
+    text body hands over each distinct row once, at the frame where it
+    first occurs, in that order: a repeat holds the same values and so
+    passes or fails as its first occurrence, and the first bad row of the
+    distinct rows is the first bad frame of the matrix.  Each message is
+    therefore the one a check of every row would give.
 
     Rows are judged by the sum numpy's `sum(axis=1)` gives, which
     `_pairwise_sum` reproduces bit for bit, so the rows accepted and the sum
@@ -145,8 +158,9 @@ def _check_values(flat: list[float], num_cols: int, strict: bool) -> None:
     near = ROW_SUM_TOLERANCE - slack
     if not sums or 1.0 - near <= min(sums) and max(sums) <= 1.0 + near:
         return
-    for frame, (start, total) in enumerate(zip(starts, sums)):
+    for row, (start, total) in enumerate(zip(starts, sums)):
         if abs(total - 1.0) > near:
+            frame = row if frames is None else frames[row]
             total = 0.0 + _pairwise_sum(flat[start:start + num_cols])
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 msg = (f"row {frame} sums to {total:.6f}, "
@@ -303,38 +317,44 @@ def _load_text(text: str, strict: bool) -> PosteriorMatrix:
     if len(body) != num_frames:
         raise PosteriorFormatError(
             f"header declares {num_frames} frames but body has {len(body)} rows")
-    flat = _parse_body(body, num_cols)
-    return PosteriorMatrix._from_flat(flat, num_frames, num_cols, blank_col, strict)
+    flat, distinct = _parse_body(body, num_cols)
+    return PosteriorMatrix._from_flat(flat, num_frames, num_cols, blank_col, strict, distinct)
 
 
-def _parse_body(body: list[str], num_cols: int) -> list[float]:
-    """The text body as row-major floats, each distinct line parsed once.
+def _parse_body(body: list[str], num_cols: int):
+    """The text body as row-major floats, each distinct line parsed once,
+    and `(values, frames)`: the distinct lines' floats, row-major, and the
+    frame where each first occurs, for `_check_values`.
 
     A line seen before copies its first parse, so repeated blank rows cost
-    one parse.  A new line must hold `num_cols` values float() takes, and
-    no `_` or non-ASCII character; the first that does not names its row,
-    the first bad row, since a repeat was checked where it first occurred.
-    Only each distinct line's offset in `flat` is kept: a list per row, all
-    alive at once, would be promoted by the garbage collector and bring on
-    extra full collections.
+    one parse and one check.  A new line must hold `num_cols` values float()
+    takes, and no `_` or non-ASCII character; the first that does not names
+    its row, the first bad row, since a repeat was checked where it first
+    occurred.  Only each distinct line's offset in `values` is kept: a list
+    per row, all alive at once, would be promoted by the garbage collector
+    and bring on extra full collections.
     """
     flat: list[float] = []
+    values: list[float] = []
+    frames: list[int] = []
     first: dict[str, int] = {}
     for i, line in enumerate(body):
         at = first.get(line)
         if at is not None:
-            flat += flat[at:at + num_cols]
+            flat += values[at:at + num_cols]
             continue
         vals = line.split()
         if len(vals) != num_cols:
             raise PosteriorFormatError(f"row {i} has {len(vals)} values, expected {num_cols}")
-        first[line] = len(flat)
+        at = first[line] = len(values)
         try:
             _check_spelling(line)
-            flat += map(float, vals)
+            values += map(float, vals)
         except ValueError:
             raise PosteriorFormatError(f"row {i} has an unparseable value") from None
-    return flat
+        flat += values[at:]
+        frames.append(i)
+    return flat, (values, frames)
 
 
 def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:

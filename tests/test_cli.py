@@ -1,13 +1,21 @@
-"""Command-line front end: transcripts, exit codes, reports, fixtures."""
+"""Command-line front end: transcripts, exit codes, reports, fixtures, and
+the process entry."""
 
+import functools
+import gc
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from lsd_wfst import cli, lattice
 from lsd_wfst.decoder import DecodeConfig, DecodeResult
+from lsd_wfst.fixtures import generate_fixture
 from lsd_wfst.lattice import lattice_best_path, load_lattice
 from lsd_wfst.posteriors import load_posteriors, save_posteriors
 from lsd_wfst.wfst import parse_wfst_text
@@ -561,3 +569,199 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+# The entry `python -m lsd_wfst.cli` had before `run()`: Python's normal exit.
+NORMAL_EXIT = "import sys; from lsd_wfst.cli import main; sys.exit(main(sys.argv[1:]))"
+# No token reaches the final state 0, and frame 2 sums to 0.9: two warnings.
+WARN_GRAPH = "0 1 1 1 0.5\n1 1 1 1 0.5\n0 0.0\n"
+WARN_POSTS = "3 2 blank=0\n0.1 0.9\n0.99 0.01\n0.2 0.7\n"
+
+
+def _process(args, entry="run", **streams):
+    """(exit code, stdout, stderr) of one process: `python -m lsd_wfst.cli`
+    (entry "run") or `sys.exit(main())` (entry "main"), with output buffered
+    and `LSD_WFST_LOG` unset."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "LSD_WFST_LOG")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    head = ["-m", "lsd_wfst.cli"] if entry == "run" else ["-c", NORMAL_EXIT]
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    proc = subprocess.run([sys.executable, *head, *args], env=env, encoding="utf-8",
+                          timeout=120, **streams)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def in_process(capsys, monkeypatch):
+    """`main(args)` in this process, set up as a fresh process would be:
+    `LSD_WFST_LOG` unset and no root handler, so that `main` installs its
+    own on the captured stderr.  Returns (exit code, stdout, stderr)."""
+    monkeypatch.delenv("LSD_WFST_LOG", raising=False)
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+
+    def call(args):
+        capsys.readouterr()
+        root.handlers.clear()
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return call
+
+
+@pytest.fixture(scope="module")
+def small_fixture(tmp_path_factory):
+    prefix = str(tmp_path_factory.mktemp("entry") / "fix")
+    return generate_fixture("random", prefix, seed=3, states=20, arcs=60, labels=4,
+                            frames=30, blank_fraction=0.5, eps_fraction=0.3,
+                            selfloops=True)
+
+
+def _fixture_args(paths, *extra):
+    return ["--graph", paths["graph"], "--posts", paths["posts"], "--isyms", paths["isyms"],
+            "--osyms", paths["osyms"], "--beam", "6", *extra]
+
+
+class TestProcessEntry:
+    """`python -m lsd_wfst.cli` runs `run()`: the collector off, then a hard
+    exit once the output is flushed.  A process must print and return
+    exactly what `main()` prints and returns in process."""
+
+    def _same(self, in_process, args):
+        got = _process(args)
+        assert got == in_process(args)
+        return got
+
+    def test_lsd_decode_that_warns(self, tmp_path, in_process):
+        graph, posts = tmp_path / "g.txt", tmp_path / "p.txt"
+        graph.write_text(WARN_GRAPH)
+        posts.write_text(WARN_POSTS)
+        code, out, err = self._same(in_process, ["decode", "--graph", str(graph),
+                                                 "--posts", str(posts)])
+        assert code == 0 and out == "1 1 1.4620\n"
+        assert err.splitlines() == [
+            "WARNING lsd_wfst.posteriors: row 2 sums to 0.900000, outside 1 +/- 0.0001 "
+            "(continuing; pass strict=True to reject)",
+            "WARNING lsd_wfst.cli: no token reached a final state; "
+            "reporting the best non-final token"]
+
+    def test_fsd_with_two_workers(self, small_fixture, in_process):
+        code, out, _ = self._same(in_process, ["decode", *_fixture_args(
+            small_fixture, "--mode", "fsd", "--workers", "2")])
+        assert code == 0 and out.count("\n") == 1
+
+    def test_lattice_out_writes_the_same_bytes(self, small_fixture, tmp_path, in_process):
+        paths = [tmp_path / "process.lat", tmp_path / "main.lat"]
+        args = ["decode", *_fixture_args(small_fixture, "--mode", "fsd", "--lattice-beam", "4")]
+        got = _process(args + ["--lattice-out", str(paths[0])])
+        assert got == in_process(args + ["--lattice-out", str(paths[1])])
+        assert got[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() != b""
+
+    @pytest.mark.parametrize("graph,posts,code", [
+        ("0 1 1 1 0.5\n1 0.0\n", "1 2 blank=0\n1.0 0.0\n", cli.EXIT_SEARCH_DEAD),
+        ("0 1 1\n", "1 2 blank=0\n0.5 0.5\n", cli.EXIT_INPUT),
+    ], ids=["search-death", "malformed-graph"])
+    def test_failure_exit_codes(self, tmp_path, in_process, graph, posts, code):
+        (tmp_path / "g.txt").write_text(graph)
+        (tmp_path / "p.txt").write_text(posts)
+        got = self._same(in_process, ["decode", "--graph", str(tmp_path / "g.txt"),
+                                      "--posts", str(tmp_path / "p.txt"), "--mode", "fsd"])
+        assert got[0] == code and got[2]
+
+    @pytest.mark.parametrize("args", [["--version"], ["decode"]], ids=["version", "usage"])
+    def test_system_exit_takes_the_normal_path(self, in_process, args):
+        self._same(in_process, args)
+
+    def test_bench_json_parses_in_full(self, small_fixture, in_process):
+        args = ["bench", *_fixture_args(small_fixture, "--repeats", "1", "--report", "json")]
+        code, out, err = _process(args)
+        want_code, want_out, want_err = in_process(args)
+        assert (code, err) == (want_code, want_err) == (0, "")
+        assert json.loads(out).keys() == json.loads(want_out).keys()
+
+    def test_broken_pipe_exits_120_as_before(self, one_arc_files):
+        """Buffered output to a pipe with no reader: the flush fails, and
+        the normal exit reports it as the old entry does."""
+        args = ["decode", "--graph", one_arc_files["graph"], "--posts", one_arc_files["posts"]]
+        results = []
+        for entry in ("run", "main"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                results.append(_process(args, entry, stdout=write))
+            finally:
+                os.close(write)
+        assert results[0] == results[1]
+        code, _, err = results[0]
+        assert code == 120
+        assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdout_keeps_stderr_and_code(self, one_arc_files, tmp_path):
+        """With descriptor 1 closed at start, `sys.stdout` is None."""
+        (tmp_path / "dead.txt").write_text("1 2 blank=0\n1.0 0.0\n")
+        args = ["decode", "--graph", one_arc_files["graph"], "--posts", str(tmp_path / "dead.txt"),
+                "--mode", "fsd"]
+        close_stdout = functools.partial(os.close, 1)
+        results = [_process(args, entry, stdout=subprocess.DEVNULL, preexec_fn=close_stdout)
+                   for entry in ("run", "main")]
+        assert results[0] == results[1]
+        code, _, err = results[0]
+        assert code == cli.EXIT_SEARCH_DEAD
+        assert "no token reached a final state" in err and "search died at step 0" in err
+
+    def test_main_leaves_the_collector_on(self, one_arc_files, capsys):
+        assert gc.isenabled()
+        assert run_cli(["decode", "--graph", one_arc_files["graph"],
+                        "--posts", one_arc_files["posts"]]) == 0
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("stdout_state", ["open", "closed", "broken"])
+    def test_run_flushes_then_exits_hard(self, monkeypatch, stdout_state):
+        """Both streams are flushed (a None one skipped), then `os._exit`;
+        a failed flush takes `sys.exit` instead."""
+        events = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                if self.name == "stdout" and stdout_state == "broken":
+                    raise BrokenPipeError(32, "Broken pipe")
+                events.append(f"flush {self.name}")
+
+        def hard_exit(code):
+            events.append(f"_exit {code}")
+            raise SystemExit(code)  # stands in for leaving the process
+
+        monkeypatch.setattr(cli, "main", lambda: cli.EXIT_SEARCH_DEAD)
+        monkeypatch.setattr(sys, "stdout", None if stdout_state == "closed" else Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(cli.os, "_exit", hard_exit)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert exc.value.code == cli.EXIT_SEARCH_DEAD
+        assert events == {"open": ["flush stdout", "flush stderr", "_exit 3"],
+                          "closed": ["flush stderr", "_exit 3"],
+                          "broken": []}[stdout_state]
+
+
+def test_script_entry_point_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"lsd-wfst": "lsd_wfst.cli:run"}

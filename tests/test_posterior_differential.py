@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsd_wfst import posteriors
+from lsd_wfst.fixtures import generate_fixture
 from lsd_wfst.posteriors import (
     PosteriorFormatError,
     PosteriorMatrix,
@@ -368,3 +370,100 @@ def test_all_identical_body(line, warns):
         result, messages = _assert_text_same(text, [line.split()] * 60, 3, 1, strict)
         assert len(messages) == (warns and not strict)
         assert (result[0] == "error") == (warns and strict)
+
+
+# The text reader checks each distinct row once, at the frame where it first
+# occurs.  Every message must still be the one the expanded matrix gives.
+
+BLANK = ["0.98", "0.01", "0.01"]
+
+
+def _checked_rows(monkeypatch):
+    """Record the rows and frame numbers each `_check_values` call receives."""
+    calls = []
+    check = posteriors._check_values
+
+    def spy(values, frames, num_cols, strict):
+        calls.append((len(values) // num_cols, frames))
+        return check(values, frames, num_cols, strict)
+
+    monkeypatch.setattr(posteriors, "_check_values", spy)
+    return calls
+
+
+def _text_of(token_rows):
+    return "\n".join([f"{len(token_rows)} 3 blank=0",
+                      *(" ".join(tokens) for tokens in token_rows)]) + "\n"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_bad_sum_first_seen_at_frame_5_and_repeated_is_checked_once(monkeypatch, strict):
+    """A bad-sum row at frames 5, 8 and 12 and another at frame 9: the
+    check sees each distinct row once and names frame 5 with its own sum."""
+    bad, other_bad = ["0.25", "0.5", "0.2"], ["0.5", "0.5", "0.5"]
+    token_rows = [BLANK] * 5 + [bad, BLANK, BLANK, bad, other_bad, BLANK, BLANK, bad, BLANK]
+    calls = _checked_rows(monkeypatch)
+    result, messages = _assert_text_same(_text_of(token_rows), token_rows, 3, 0, strict)
+    assert calls == [(3, [0, 5, 9])]
+    message = "row 5 sums to 0.950000, outside 1 +/- 0.0001"
+    if strict:
+        assert result == ("error", PosteriorFormatError, message)
+        assert messages == []
+    else:
+        assert result[0] == "ok"
+        assert messages == [(logging.WARNING,
+                             f"{message} (continuing; pass strict=True to reject)")]
+
+
+@pytest.mark.parametrize("value,message", [
+    ("-0.5", "probabilities must lie in [0, 1]"),
+    ("-1e-300", "probabilities must lie in [0, 1]"),
+    ("1.5", "probabilities must lie in [0, 1]"),
+    ("nan", "matrix contains non-finite values"),
+    ("inf", "matrix contains non-finite values"),
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_bad_value_only_in_a_repeated_row(monkeypatch, value, message, strict):
+    """The one row holding the bad value is the blank row, first seen at
+    frame 1 and repeated through the body; every other row is good."""
+    bad_blank = ["0.98", value, "0.01"]
+    token_rows = [GOOD, *[bad_blank] * 4, OTHER, *[bad_blank] * 6, GOOD]
+    calls = _checked_rows(monkeypatch)
+    result, messages = _assert_text_same(_text_of(token_rows), token_rows, 3, 0, strict)
+    assert calls == [(3, [0, 1, 5])]
+    assert result == ("error", PosteriorFormatError, message)
+    assert messages == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_good_row_repeated_after_a_bad_one_reads_its_own_values(monkeypatch, strict):
+    """Good rows first seen before and after a bad-sum row, each repeated
+    after it: one message, naming the bad row, and every repeat holds the
+    values of its first parse."""
+    bad = ["0.25", "0.5", "0.2"]
+    token_rows = [GOOD, BLANK, bad, OTHER, BLANK, GOOD, bad, OTHER, GOOD, BLANK]
+    calls = _checked_rows(monkeypatch)
+    result, messages = _assert_text_same(_text_of(token_rows), token_rows, 3, 0, strict)
+    assert calls == [(4, [0, 1, 2, 3])]
+    message = "row 2 sums to 0.950000, outside 1 +/- 0.0001"
+    if strict:
+        assert result == ("error", PosteriorFormatError, message)
+        return
+    assert messages == [(logging.WARNING, f"{message} (continuing; pass strict=True to reject)")]
+    assert np.frombuffer(result[2]).reshape(10, 3).tolist() == [
+        [float(t) for t in row] for row in token_rows]
+
+
+def test_a_mostly_blank_file_checks_its_distinct_rows(monkeypatch, tmp_path):
+    """A 90%-blank generated utterance is checked as its distinct rows, and
+    its POST1 twin, like any matrix not read from text, row by row."""
+    paths = generate_fixture("random", str(tmp_path / "t"), seed=5, states=20, arcs=60,
+                             labels=4, frames=1000, blank_fraction=0.9)
+    calls = _checked_rows(monkeypatch)
+    with open(paths["posts"], encoding="utf-8") as fh:
+        distinct = len(set(map(str.strip, fh.read().splitlines()[1:])))
+    text = load_posteriors(paths["posts"])
+    assert len(calls) == 1 and calls[0][0] == distinct < 200
+    binary = load_posteriors(format_posteriors_binary(text))
+    assert calls[1] == (1000, None)
+    assert _hex(binary) == _hex(text)
