@@ -3,11 +3,12 @@
 Search wall time covers the search only (graph and posterior loading
 excluded) and is reported as the median over repeats; `lsd-wfst bench`
 reports its one timed load of symbols, graph and posteriors as
-`load_wall_time_s`, and the posterior part of it as
-`posteriors_load_wall_time_s`.  Step counts follow the reduction law directly:
-label-synchronous decoding performs exactly T - |U| steps for T frames of
-which |U| are blank.  The harness asserts that law before reporting and
-refuses to emit a report that violates it.
+`load_wall_time_s`, the posterior part of it as
+`posteriors_load_wall_time_s`, and the process's peak resident set size,
+read after the run, as `peak_rss_mb`.  Step counts follow the reduction
+law directly: label-synchronous decoding performs exactly T - |U| steps
+for T frames of which |U| are blank.  The harness asserts that law before
+reporting and refuses to emit a report that violates it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class BenchReport:
     speedups: dict[str, float] = field(default_factory=dict)
     load_wall_time_s: float | None = None
     posteriors_load_wall_time_s: float | None = None
+    peak_rss_mb: float | None = None
 
 
 def _run_mode(mode: str, wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
@@ -128,6 +130,8 @@ def report_text(report: BenchReport) -> str:
         head += f" load_wall={report.load_wall_time_s:.6f}s"
     if report.posteriors_load_wall_time_s is not None:
         head += f" posts_load={report.posteriors_load_wall_time_s:.6f}s"
+    if report.peak_rss_mb is not None:
+        head += f" peak_rss={report.peak_rss_mb:.2f}MiB"
     lines = [head, "config: " + " ".join(f"{k}={v}" for k, v in report.config.items())]
     for mode, st in report.modes.items():
         lines.append(
@@ -157,6 +161,7 @@ def report_json(report: BenchReport) -> str:
         "repeats": report.repeats,
         "load_wall_time_s": report.load_wall_time_s,
         "posteriors_load_wall_time_s": report.posteriors_load_wall_time_s,
+        "peak_rss_mb": report.peak_rss_mb,
         "config": report.config,
         "modes": {
             mode: {

@@ -187,11 +187,24 @@ def cmd_bench(args) -> int:
         return EXIT_INVARIANT
     report.load_wall_time_s = load_s
     report.posteriors_load_wall_time_s = posts_s
+    report.peak_rss_mb = _peak_rss_mb()
     if args.report == "json":
         sys.stdout.write(report_json(report))
     else:
         sys.stdout.write(report_text(report))
     return EXIT_OK
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MiB, or None where the
+    `resource` module is missing."""
+    try:
+        import resource  # not on Windows; a decode does not need it
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # KiB on Linux, bytes on macOS.
+    return peak / 2 ** 20 if sys.platform == "darwin" else peak / 2 ** 10
 
 
 def cmd_gen(args) -> int:

@@ -6,9 +6,12 @@ alphabet).  Files store probabilities; costs are derived on demand as
 -scale * math.log(p).
 
 Parsing, the value checks, blank classification and scoring run in plain
-Python over one flat row-major list of floats, so a decode never imports
-numpy.  `PosteriorMatrix.rows` builds a numpy array on first access for the
-callers that ask for one.
+Python over one flat row-major sequence of floats, so a decode never
+imports numpy.  A POST1 file's values stay packed in an `array('d')`, 8
+bytes each.  A matrix read from text or built from rows is a list of
+floats: repeated text rows share their float objects, so packing them
+would save little and cost a conversion.  `PosteriorMatrix.rows` builds a
+numpy array on first access for the callers that ask for one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import struct
 import sys
 from array import array
+from collections.abc import Sequence
 from itertools import chain, compress
 from operator import not_
 from typing import NamedTuple
@@ -46,7 +50,7 @@ class PosteriorMatrix:
         self._init(flat, num_frames, num_labels, blank_col, strict)
 
     @classmethod
-    def _from_flat(cls, flat: list[float], num_frames: int, num_labels: int,
+    def _from_flat(cls, flat: Sequence[float], num_frames: int, num_labels: int,
                    blank_col: int, strict: bool = False,
                    distinct=None) -> "PosteriorMatrix":
         """`distinct`, if given, is `(values, frames)`: the distinct rows of
@@ -94,8 +98,9 @@ class PosteriorMatrix:
     def num_nonblank_labels(self) -> int:
         return self._shape[1] - 1
 
-    def _row(self, frame: int) -> list[float]:
-        """A copy of one frame's row; negative frames count from the end."""
+    def _row(self, frame: int) -> Sequence[float]:
+        """A copy of one frame's row, a list or an `array('d')` as the
+        matrix stores it; negative frames count from the end."""
         start = range(self._shape[0])[frame] * self._shape[1]
         return self._flat[start:start + self._shape[1]]
 
@@ -126,7 +131,7 @@ def _flatten(rows) -> tuple[list[float], int, int]:
     return [float(v) for v in chain.from_iterable(rows.tolist())], shape[0], shape[1]
 
 
-def _check_values(flat: list[float], frames: list[int] | None, num_cols: int,
+def _check_values(flat: Sequence[float], frames: list[int] | None, num_cols: int,
                   strict: bool) -> None:
     """Finite values in [0, 1] and row sums within the tolerance of 1.
 
@@ -171,7 +176,7 @@ def _check_values(flat: list[float], frames: list[int] | None, num_cols: int,
                 return
 
 
-def _pairwise_sum(a: list[float]) -> float:
+def _pairwise_sum(a: Sequence[float]) -> float:
     """numpy's pairwise summation of a contiguous float64 run: eight partial
     sums per block of up to 128 values, halves of longer runs added."""
     n = len(a)
@@ -250,7 +255,7 @@ class FrameCosts:
 
     __slots__ = ("costs", "_row", "_cols", "_scale")
 
-    def __init__(self, costs: list, row: list[float], cols: list[int], scale: float):
+    def __init__(self, costs: list, row: Sequence[float], cols: list[int], scale: float):
         self.costs = costs
         self._row = row
         self._cols = cols
@@ -370,7 +375,9 @@ def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:
     values.frombytes(memoryview(data)[header_size:])
     if sys.byteorder == "big":
         values.byteswap()
-    return PosteriorMatrix._from_flat(values.tolist(), num_frames, num_cols, blank_col, strict)
+    # The values stay packed, 8 bytes each.  `frombytes` leaves 1/16 spare
+    # room, which a slice, sized to fit, does not.
+    return PosteriorMatrix._from_flat(values[:], num_frames, num_cols, blank_col, strict)
 
 
 def format_posteriors_text(p: PosteriorMatrix) -> str:

@@ -15,10 +15,12 @@ epsilon prefix and an emitting suffix.  The search reads the columns only;
 State and label ids are below `ID_LIMIT` (2^31, the range of OpenFst's
 int32 ids).
 
-`parse_wfst_text` reads the text one block of lines at a time.  The leading
-5-field arc lines of each block are converted column by column; the rest of
-the block goes through a line-by-line loop that checks every field and names
-the line of the first error.
+`parse_wfst_text` splits the text into lines one piece at a time and reads
+them one block of `_BLOCK_LINES` lines at a time, so it never holds the
+whole text's lines.  The leading 5-field arc lines of each block are
+converted column by column; the rest of the block goes through a
+line-by-line loop that checks every field and names the line of the first
+error.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ ID_LIMIT = 2 ** 31
 
 # Lines per block in `parse_wfst_text`, and the token that joins a block's
 # lines to mark where each ends.
-_BLOCK_LINES = 2048
+_BLOCK_LINES = 1024
 _LINE_END = "\0"
 
 
@@ -397,15 +399,32 @@ def parse_wfst_text(text: str, isyms: SymbolTable | None = None,
     ignored.  Labels resolve through the symbol tables when given, with bare
     non-negative integers accepted as raw ids.  State and label ids must be
     below `ID_LIMIT`.
+
+    The text is split into lines a piece at a time, each piece cut just
+    after a line feed, so that the pieces' lines are the whole text's lines.
+    Lines past a piece's last full block wait for the next piece: every
+    block but the last holds `_BLOCK_LINES` lines.
     """
     reader = _GraphReader(isyms, osyms, allow_negative_weights)
-    lines = text.splitlines()
     by_block = _LINE_END not in text
-    for first in range(0, len(lines), _BLOCK_LINES):
-        block = lines[first:first + _BLOCK_LINES]
-        taken = reader.arc_block(block) if by_block else 0
-        if taken < len(block):
-            reader.read_lines(block[taken:], first + taken + 1)
+    # A piece holds a block or so: `to_text` writes lines of 20-30 characters.
+    end, piece = len(text), 32 * _BLOCK_LINES
+    lines: list[str] = []
+    at = 0
+    line_no = 1  # of lines[0]
+    while at < end:
+        # A cut just after a "\n" ends a line and splits no "\r\n".
+        cut = text.find("\n", at + piece) + 1 or end
+        lines += text[at:cut].splitlines()
+        at = cut
+        full = len(lines) if at == end else len(lines) - len(lines) % _BLOCK_LINES
+        for first in range(0, full, _BLOCK_LINES):
+            block = lines[first:first + _BLOCK_LINES]
+            taken = reader.arc_block(block) if by_block else 0
+            if taken < len(block):
+                reader.read_lines(block[taken:], line_no + first + taken)
+        del lines[:full]
+        line_no += full
     return reader.finish()
 
 

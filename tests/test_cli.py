@@ -312,6 +312,7 @@ class TestBenchCommand:
         assert "steps=10" in out
         assert "load_wall=" in out
         assert "posts_load=" in out
+        assert "peak_rss=" in out
 
     def test_json_report_schema(self, tmp_path, capsys):
         prefix = self._gen(tmp_path)
@@ -327,10 +328,23 @@ class TestBenchCommand:
         assert payload["blank_frames"] == 90
         assert payload["load_wall_time_s"] > 0
         assert 0 < payload["posteriors_load_wall_time_s"] <= payload["load_wall_time_s"]
+        # A Python process that has parsed a graph holds a few MiB at least.
+        assert 1 < payload["peak_rss_mb"] < 4096
         assert set(payload["modes"]) == {"fsd-serial", "lsd-serial", "lsd-parallel"}
         for stats in payload["modes"].values():
             assert stats["search_wall_time_s"] > 0
         assert all(v > 0 for v in payload["speedups"].values())
+
+    def test_peak_rss_is_null_without_resource(self, tmp_path, capsys, monkeypatch):
+        prefix = self._gen(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setitem(sys.modules, "resource", None)  # as on Windows
+        args = ["bench", "--graph", f"{prefix}.graph.txt", "--posts", f"{prefix}.post.txt",
+                "--repeats", "1", "--modes", "lsd-serial"]
+        assert run_cli(args + ["--report", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["peak_rss_mb"] is None
+        assert run_cli(args) == 0
+        assert "peak_rss=" not in capsys.readouterr().out
 
     def test_parallel_vs_serial_ratio_reported(self, tmp_path, capsys):
         prefix = self._gen(tmp_path, frames=40, blank=0.5)

@@ -5,9 +5,13 @@
   exits 2 on them.
 - Symbol tables reject negative ids, naming the line.
 - With blocks of 1-3 lines, so that block edges fall between arcs and at the
-  switch from arcs to final lines, the parser agrees with `tests/oracles.py`'s
-  line-by-line reference on mutated `Wfst.to_text` output: the same graph bit
-  for bit, or the same error.
+  switch from arcs to final lines, and pieces of text a few lines long, the
+  parser agrees with `tests/oracles.py`'s line-by-line reference on mutated
+  `Wfst.to_text` output, its lines ended by any mix of the boundaries
+  `str.splitlines` honours, the last one or not: the same graph bit for bit,
+  or the same error.
+- The parse never holds the whole text's lines: what it holds on the side
+  stays below the size of the graph it builds.
 - The leading arc lines of a block go in columns: on `to_text` output that
   fits in one block, only the final lines reach the checking loop, and an
   error after the leading arcs names its own line.
@@ -19,6 +23,7 @@
 
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -124,6 +129,10 @@ def _assert_same(text, tables, allow_negative):
 # Ids past the columns' reach: 2^31 is past ID_LIMIT, 2^63 past array('q'),
 # and 4,301 digits past int()'s default limit.
 BIG_IDS = [str(ID_LIMIT), str(2 ** 63), str(2 ** 64 + 7), "9" * 4301]
+# Every line boundary `str.splitlines` honours.  The parser cuts its pieces
+# of text only after a "\n", so a "\r\n" a draw makes stays whole.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
 MUTATIONS = ["none", "swap", "four_fields", "comment", "final_mid", "big_id",
              "unknown_label", "negative_weight"]
 
@@ -175,7 +184,11 @@ def _mutated_graph_text(draw):
         fields = lines[arc_lines[arc]].split()
         fields[4] = draw(st.sampled_from(["-0.5", "-inf", "-1e-300"]))
         lines[arc_lines[arc]] = " ".join(fields)
-    return "\n".join(lines) + "\n", tables
+    seps = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, seps))
+    if seps and draw(st.booleans()):
+        text = text.removesuffix(seps[-1])
+    return text, tables
 
 
 @settings(max_examples=400, deadline=None)
@@ -184,6 +197,25 @@ def test_block_parse_matches_reference(case, block, allow_negative):
     text, tables = case
     with mock.patch.object(wfst_module, "_BLOCK_LINES", block):
         _assert_same(text, tables, allow_negative)
+
+
+def test_parse_holds_less_than_the_graph_it_builds():
+    # The text is split into lines one piece at a time, so what the parse
+    # holds on the side follows the block size, not the length of the text.
+    # Splitting the whole text into lines first holds about twice the graph.
+    graph = make_random_wfst(random.Random(5), num_states=7000, num_arcs=20000,
+                             num_labels=20, selfloops=True)
+    text = graph.to_text()
+    tracemalloc.start()
+    try:
+        parsed = parse_wfst_text(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for column in ("arc_src", "arc_dst", "arc_ilabel", "arc_olabel", "arc_weight"):
+        assert getattr(parsed, column) == getattr(graph, column), column
+    assert parsed.final_weights == graph.final_weights
+    assert peak - retained < retained
 
 
 @settings(max_examples=100, deadline=None)

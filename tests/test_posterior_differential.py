@@ -6,12 +6,14 @@ edge of the tolerance included, it must raise what the numpy checks it
 replaced raise, with the same message, or log the same warning and hold the
 same values.  Formatting and parsing must round-trip every value exactly,
 and POST1 must hold the values as little-endian float64.  Text that repeats
-rows must load, fail or warn as the matrix it spells out.
+rows must load, fail or warn as the matrix it spells out.  A POST1 matrix
+keeps its values packed, 8 bytes each.
 """
 
 import logging
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,3 +469,21 @@ def test_a_mostly_blank_file_checks_its_distinct_rows(monkeypatch, tmp_path):
     binary = load_posteriors(format_posteriors_binary(text))
     assert calls[1] == (1000, None)
     assert _hex(binary) == _hex(text)
+
+
+def test_binary_values_stay_packed():
+    """A POST1 matrix keeps its values as float64, 8 bytes each, not as a
+    float object (24 bytes) and a list slot (8 bytes) per value."""
+    rng = np.random.default_rng(7)
+    rows = rng.dirichlet(np.ones(21), size=1000)
+    blob = format_posteriors_binary(PosteriorMatrix(rows, 0))
+    tracemalloc.start()
+    try:
+        p = load_posteriors(blob)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _hex(p) == [v.hex() for v in rows.ravel().tolist()]
+    # Past the values: the matrix object, its label columns and the floats
+    # the interpreter keeps on its free list, a few KiB whatever the size.
+    assert retained <= 8 * rows.size + 8192
