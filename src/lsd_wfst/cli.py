@@ -6,7 +6,15 @@ result is still printed), 4 step-count invariant breach inside bench,
 5 out of memory (for example, a graph whose largest state id asks for more
 per-state tables than the host can hold).  A lattice too large to prune
 still exits 2.
-The LSD_WFST_LOG environment variable sets the log level.
+
+While `main` runs, it prints every diagnostic record itself, its own and
+the library's (`_log` hands them over), to stderr as `LEVEL name: message`.
+It prints those at or above the level the LSD_WFST_LOG environment variable
+names: one of the 8 level names `logging` defines (CRITICAL, FATAL, ERROR,
+WARN, WARNING, INFO, DEBUG, NOTSET), in any case; any other value, or none,
+means WARNING.  `main` installs no `logging` handler, so a decode never
+imports `logging`; once it returns or raises, the library's records go to
+the `logging` loggers `lsd_wfst.*` again.
 
 A plain decode imports only `decoder`, `posteriors` and `wfst` from this
 package.  `bench`, `lattice` and `parallel` are imported inside the commands
@@ -18,8 +26,9 @@ garbage collector and the interpreter alone.  The `lsd-wfst` script and
 off for the command and, once stdout and stderr are flushed, ends the
 process with `os._exit` instead of tearing down the heap.  The collector
 has nothing to find: after a decode, LSD or FSD, serial or threaded,
-`gc.collect()` finds the same 346 unreachable objects (370 with
-`--lattice-out`), all from argparse and logging set-up, whatever the input.
+`gc.collect()` finds the same 346 unreachable objects, those of the
+argparse parser, whatever the input; with `--lattice-out` it finds 370,
+the other 24 left by importing `lattice`.
 The hard exit loses nothing: every file the CLI writes is closed by a
 `with` before `main` returns.  A flush that fails, or an exception or
 `SystemExit` out of `main` (a usage error, `--version`), takes Python's
@@ -30,19 +39,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import math
 import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, wfst
 from .decoder import (BENCH_MODES, DEFAULT_BENCH_MODES, DecodeConfig, check_bench_modes,
                       decode)
 from .posteriors import load_posteriors
-from .wfst import SymbolTable, WfstError, parse_wfst_text
-
-log = logging.getLogger("lsd_wfst.cli")
+from .wfst import SymbolTable, WfstError, _log, parse_wfst_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,12 +57,25 @@ EXIT_INVARIANT = 4
 EXIT_RESOURCE = 5
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("LSD_WFST_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+# The level names `logging` defines, and their numbers.
+_LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARN": 30, "WARNING": 30,
+           "INFO": 20, "DEBUG": 10, "NOTSET": 0}
+
+
+def _log_printer(setting: str):
+    """A `wfst._log_sink` that writes each record at or above the level
+    `setting` names (in any case; WARNING if it names none) to stderr as
+    `LEVEL name: message`."""
+    threshold = _LEVELS.get(setting.upper(), _LEVELS["WARNING"])
+
+    def emit(name: str, level: str, msg: str, args: tuple) -> None:
+        if _LEVELS[level] >= threshold:
+            try:
+                sys.stderr.write(f"{level} {name}: {msg % args if args else msg}\n")
+            except (AttributeError, OSError, ValueError):
+                pass  # no usable stderr: the record is dropped, as `logging` drops it
+
+    return emit
 
 
 def _positive_int(text: str) -> int:
@@ -155,15 +174,16 @@ def cmd_decode(args) -> int:
 
     print(_transcript_line(result.olabels, result.total_cost, osyms))
     if not result.reached_final:
-        log.warning("no token reached a final state; reporting the best non-final token")
+        _log("lsd_wfst.cli", "WARNING",
+             "no token reached a final state; reporting the best non-final token")
 
     if args.lattice_out:
         lat = build_lattice(recorder, graph)
         if args.lattice_beam != math.inf:
             lat = prune_lattice(lat, args.lattice_beam)
         save_lattice(lat, args.lattice_out)
-        log.info("wrote lattice with %d nodes / %d arcs to %s",
-                 lat.num_nodes, lat.num_arcs, args.lattice_out)
+        _log("lsd_wfst.cli", "INFO", "wrote lattice with %d nodes / %d arcs to %s",
+             lat.num_nodes, lat.num_arcs, args.lattice_out)
 
     if result.died_at_step is not None:
         print(f"search died at step {result.died_at_step} "
@@ -282,18 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The CLI prints every record made while it runs, its own and the
+    # library's; when it returns or raises, records go where they went before.
+    sink = wfst._log_sink
+    wfst._log_sink = _log_printer(os.environ.get("LSD_WFST_LOG", "WARNING"))
     try:
-        return args.func(args)
-    except (OSError, WfstError, ValueError) as exc:
-        # ParseError, SymbolError: WfstErrors; PosteriorFormatError, LatticeError: ValueErrors.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return EXIT_RESOURCE
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (OSError, WfstError, ValueError) as exc:
+            # ParseError, SymbolError: WfstErrors; PosteriorFormatError, LatticeError: ValueErrors.
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except MemoryError as exc:
+            print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+            return EXIT_RESOURCE
+    finally:
+        wfst._log_sink = sink
 
 
 def run() -> None:

@@ -7,30 +7,29 @@ alphabet).  Files store probabilities; costs are derived on demand as
 
 Parsing, the value checks, blank classification and scoring run in plain
 Python over one flat row-major sequence of floats, so a decode never
-imports numpy.  A POST1 file's values stay packed in an `array('d')`, 8
-bytes each.  A matrix read from text or built from rows is a list of
-floats: repeated text rows share their float objects, so packing them
-would save little and cost a conversion.  `PosteriorMatrix.rows` builds a
-numpy array on first access for the callers that ask for one.
+imports numpy.  A matrix keeps that sequence with an index from frame to
+row.  A matrix read from text stores each distinct row once, as a list of
+floats, in order of first occurrence: a 90%-blank utterance keeps ~100
+rows, not 1,000, and its reader strips, parses and checks only those.  A
+POST1 file's values, or a matrix built from rows in code, keep every frame's
+row, the index being `range(T)`; a POST1 file's stay packed in an
+`array('d')`, 8 bytes each.  `PosteriorMatrix.rows` builds a numpy array
+on first access for the callers that ask for one.
 """
 
 from __future__ import annotations
 
-import io
-import logging
 import math
 import os
 import struct
 import sys
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from operator import not_
 from typing import NamedTuple
 
-from .wfst import _check_spelling
-
-log = logging.getLogger("lsd_wfst.posteriors")
+from .wfst import _check_spelling, _log
 
 ROW_SUM_TOLERANCE = 1e-4
 BINARY_MAGIC = b"POST1"
@@ -42,33 +41,37 @@ class PosteriorFormatError(ValueError):
 
 
 class PosteriorMatrix:
-    """Immutable T x (L'+1) matrix of per-frame label probabilities."""
+    """Immutable T x (L'+1) matrix of per-frame label probabilities.
+
+    The matrix keeps its distinct rows, row-major, and the row each frame
+    reads: frame f's probabilities are row `_index[f]` of `_values`.
+    """
 
     def __init__(self, rows, blank_col: int, strict: bool = False):
         """`rows` is a 2-D numpy array or a sequence of equal-length rows."""
-        flat, num_frames, num_labels = _flatten(rows)
-        self._init(flat, num_frames, num_labels, blank_col, strict)
+        values, num_frames, num_labels = _flatten(rows)
+        self._init(values, range(num_frames), num_labels, blank_col, strict)
 
     @classmethod
-    def _from_flat(cls, flat: Sequence[float], num_frames: int, num_labels: int,
+    def _from_rows(cls, values: Sequence[float], index: Sequence[int], num_labels: int,
                    blank_col: int, strict: bool = False,
-                   distinct=None) -> "PosteriorMatrix":
-        """`distinct`, if given, is `(values, frames)`: the distinct rows of
-        `flat`, row-major, and the frame where each first occurs.  Only
-        they are checked, which judges every row of `flat` the same way."""
+                   frames: list[int] | None = None) -> "PosteriorMatrix":
+        """A matrix whose frame f reads row `index[f]` of `values`.  Row k of
+        `values` first occurs at frame `frames[k]` (frame k if `frames` is
+        None); checking each row once judges every frame that reads it."""
         self = cls.__new__(cls)
-        self._init(flat, num_frames, num_labels, blank_col, strict, distinct)
+        self._init(values, index, num_labels, blank_col, strict, frames)
         return self
 
-    def _init(self, flat, num_frames, num_labels, blank_col, strict, distinct=None):
+    def _init(self, values, index, num_labels, blank_col, strict, frames=None):
         if num_labels < 1:
             raise PosteriorFormatError("matrix needs at least the blank column")
         if not 0 <= blank_col < num_labels:
             raise PosteriorFormatError(f"blank column {blank_col} out of range [0, {num_labels})")
-        values, frames = (flat, None) if distinct is None else distinct
         _check_values(values, frames, num_labels, strict)
-        self._flat = flat
-        self._shape = (num_frames, num_labels)
+        self._values = values
+        self._index = index
+        self._shape = (len(index), num_labels)
         self._rows = None
         self.blank_col = int(blank_col)
         # Non-blank columns in increasing order map to labels 1..L'.
@@ -81,7 +84,8 @@ class PosteriorMatrix:
         if self._rows is None:
             import numpy as np
 
-            rows = np.array(self._flat, dtype=np.float64).reshape(self._shape)
+            distinct = np.array(self._values, dtype=np.float64).reshape(-1, self._shape[1])
+            rows = distinct[np.asarray(self._index, dtype=np.intp)]
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
@@ -101,8 +105,8 @@ class PosteriorMatrix:
     def _row(self, frame: int) -> Sequence[float]:
         """A copy of one frame's row, a list or an `array('d')` as the
         matrix stores it; negative frames count from the end."""
-        start = range(self._shape[0])[frame] * self._shape[1]
-        return self._flat[start:start + self._shape[1]]
+        start = self._index[frame] * self._shape[1]
+        return self._values[start:start + self._shape[1]]
 
     def blank_prob(self, frame: int) -> float:
         return self._row(frame)[self.blank_col]
@@ -172,7 +176,8 @@ def _check_values(flat: Sequence[float], frames: list[int] | None, num_cols: int
                        f"outside 1 +/- {ROW_SUM_TOLERANCE}")
                 if strict:
                     raise PosteriorFormatError(msg)
-                log.warning("%s (continuing; pass strict=True to reject)", msg)
+                _log("lsd_wfst.posteriors", "WARNING",
+                     "%s (continuing; pass strict=True to reject)", msg)
                 return
 
 
@@ -236,9 +241,9 @@ def classify_blank_frames(p: PosteriorMatrix, threshold: float) -> BlankMask:
     threshold = float(threshold)
     if math.isnan(threshold):
         raise ValueError("blank threshold must be a number, got nan")
-    blank_column = p._flat[p.blank_col::p.num_labels]
-    # threshold < x, that is x > threshold, for each frame's blank probability x.
-    return BlankMask(bits=tuple(map(threshold.__lt__, blank_column)), threshold=threshold)
+    # threshold < x, that is x > threshold, for each row's blank probability x.
+    bits = list(map(threshold.__lt__, p._values[p.blank_col::p.num_labels]))
+    return BlankMask(bits=tuple(map(bits.__getitem__, p._index)), threshold=threshold)
 
 
 def _cost(prob: float, scale: float) -> float:
@@ -297,69 +302,77 @@ def load_posteriors(source, strict: bool = False) -> PosteriorMatrix:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PosteriorFormatError(f"not {BINARY_MAGIC!r} binary and not UTF-8 text: {exc}") from None
+    del data  # not held while the text is split into lines
     return _load_text(text, strict)
 
 
 def _load_text(text: str, strict: bool) -> PosteriorMatrix:
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
+    lines = text.splitlines()
+    for at, raw in enumerate(lines):
+        head = raw.strip()
+        if head and head[0] != "#":
+            break
+    else:
         raise PosteriorFormatError("empty posterior text")
-    header = lines[0].split()
+    header = head.split()
     if len(header) != 3 or not header[2].startswith("blank="):
         raise PosteriorFormatError(
-            f"bad header {lines[0]!r}; expected 'T num_cols blank=<col>'")
+            f"bad header {head!r}; expected 'T num_cols blank=<col>'")
     try:
-        _check_spelling(lines[0])
+        _check_spelling(head)
         num_frames = int(header[0])
         num_cols = int(header[1])
         blank_col = int(header[2][len("blank="):])
     except ValueError:
-        raise PosteriorFormatError(f"bad header {lines[0]!r}") from None
+        raise PosteriorFormatError(f"bad header {head!r}") from None
     if num_frames < 0 or num_cols < 1:
         raise PosteriorFormatError(f"bad dimensions {num_frames} x {num_cols}")
 
-    body = lines[1:]
-    if len(body) != num_frames:
+    # Each distinct raw body line is stripped and tested for a comment once.
+    # It maps to the row of its stripped text, the rows numbered in order
+    # of first occurrence, or to None if it is blank or a comment.
+    del lines[:at + 1]
+    row_of = dict.fromkeys(lines)
+    rows: dict[str, int] = {}
+    for raw in row_of:
+        line = raw.strip()
+        if line and line[0] != "#":
+            row_of[raw] = rows.setdefault(line, len(rows))
+    index = [row for row in map(row_of.__getitem__, lines) if row is not None]
+    del lines, row_of
+    if len(index) != num_frames:
         raise PosteriorFormatError(
-            f"header declares {num_frames} frames but body has {len(body)} rows")
-    flat, distinct = _parse_body(body, num_cols)
-    return PosteriorMatrix._from_flat(flat, num_frames, num_cols, blank_col, strict, distinct)
-
-
-def _parse_body(body: list[str], num_cols: int):
-    """The text body as row-major floats, each distinct line parsed once,
-    and `(values, frames)`: the distinct lines' floats, row-major, and the
-    frame where each first occurs, for `_check_values`.
-
-    A line seen before copies its first parse, so repeated blank rows cost
-    one parse and one check.  A new line must hold `num_cols` values float()
-    takes, and no `_` or non-ASCII character; the first that does not names
-    its row, the first bad row, since a repeat was checked where it first
-    occurred.  Only each distinct line's offset in `values` is kept: a list
-    per row, all alive at once, would be promoted by the garbage collector
-    and bring on extra full collections.
-    """
-    flat: list[float] = []
-    values: list[float] = []
+            f"header declares {num_frames} frames but body has {len(index)} rows")
+    # Row k first occurs after row k - 1 first does: each search starts there.
     frames: list[int] = []
-    first: dict[str, int] = {}
-    for i, line in enumerate(body):
-        at = first.get(line)
-        if at is not None:
-            flat += values[at:at + num_cols]
-            continue
+    first = 0
+    for row in range(len(rows)):
+        first = index.index(row, first)
+        frames.append(first)
+    values = _parse_rows(rows, frames, num_cols)
+    return PosteriorMatrix._from_rows(values, index, num_cols, blank_col, strict, frames)
+
+
+def _parse_rows(rows: Iterable[str], frames: list[int], num_cols: int) -> list[float]:
+    """The floats of the distinct row texts `rows`, row-major.  Row k first
+    occurs at frame `frames[k]`, in increasing order.
+
+    A row must hold `num_cols` values float() takes, and no `_` or
+    non-ASCII character; the first that does not names the frame where it
+    first occurs, the first bad frame, since its repeats come later.
+    """
+    values: list[float] = []
+    for line, frame in zip(rows, frames):
         vals = line.split()
         if len(vals) != num_cols:
-            raise PosteriorFormatError(f"row {i} has {len(vals)} values, expected {num_cols}")
-        at = first[line] = len(values)
+            raise PosteriorFormatError(
+                f"row {frame} has {len(vals)} values, expected {num_cols}")
         try:
             _check_spelling(line)
             values += map(float, vals)
         except ValueError:
-            raise PosteriorFormatError(f"row {i} has an unparseable value") from None
-        flat += values[at:]
-        frames.append(i)
-    return flat, (values, frames)
+            raise PosteriorFormatError(f"row {frame} has an unparseable value") from None
+    return values
 
 
 def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:
@@ -377,24 +390,25 @@ def _load_binary(data: bytes, strict: bool) -> PosteriorMatrix:
         values.byteswap()
     # The values stay packed, 8 bytes each.  `frombytes` leaves 1/16 spare
     # room, which a slice, sized to fit, does not.
-    return PosteriorMatrix._from_flat(values[:], num_frames, num_cols, blank_col, strict)
+    return PosteriorMatrix._from_rows(values[:], range(num_frames), num_cols, blank_col, strict)
 
 
 def format_posteriors_text(p: PosteriorMatrix) -> str:
-    out = io.StringIO()
-    out.write(f"{p.num_frames} {p.num_labels} blank={p.blank_col}\n")
-    for f in range(p.num_frames):
-        out.write(" ".join(map(repr, p._row(f))))
-        out.write("\n")
-    return out.getvalue()
+    width = p.num_labels
+    lines = [" ".join(map(repr, p._values[i:i + width])) + "\n"
+             for i in range(0, len(p._values), width)]
+    head = f"{p.num_frames} {width} blank={p.blank_col}\n"
+    return head + "".join(map(lines.__getitem__, p._index))
 
 
 def format_posteriors_binary(p: PosteriorMatrix) -> bytes:
     head = BINARY_MAGIC + struct.pack("<III", p.num_frames, p.num_labels, p.blank_col)
-    values = array("d", p._flat)
+    values = array("d", p._values)
     if sys.byteorder == "big":
         values.byteswap()
-    return head + values.tobytes()
+    data, width = values.tobytes(), 8 * p.num_labels
+    rows = [data[i:i + width] for i in range(0, len(data), width)]
+    return head + b"".join(map(rows.__getitem__, p._index))
 
 
 def save_posteriors(p: PosteriorMatrix, path: str, binary: bool = False) -> None:

@@ -25,7 +25,6 @@ error.
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from collections import Counter
@@ -33,8 +32,6 @@ from functools import partial
 from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from operator import add, le, not_
 from typing import NamedTuple
-
-log = logging.getLogger("lsd_wfst.wfst")
 
 EPSILON = 0
 
@@ -56,6 +53,25 @@ def _check_spelling(text: str) -> None:
     text: spellings int() and float() take but no writer makes."""
     if "_" in text or not text.isascii():
         raise ValueError(f"not a plain number: {text!r}")
+
+
+# Where `_log` hands its records instead of `logging`, while set: a function
+# of (logger name, level name, format, args).  `cli.main` sets it while it
+# runs.
+_log_sink = None
+
+
+def _log(name: str, level: str, msg: str, *args) -> None:
+    """Log `msg % args` on the `logging` logger `name` at the level named
+    `level` ("DEBUG", "INFO" or "WARNING"), or hand it to `_log_sink`.
+    `logging` is imported only when a record goes to a logger, so a process
+    whose records all go to the sink never loads it."""
+    if _log_sink is not None:
+        _log_sink(name, level, msg, args)
+        return
+    import logging
+
+    logging.getLogger(name).log(getattr(logging, level), msg, *args, stacklevel=2)
 
 
 class WfstError(Exception):
@@ -167,7 +183,8 @@ class SymbolTable:
             except SymbolError as exc:
                 raise ParseError(str(exc), line_no) from None
         if not saw_eps:
-            log.debug("symbol table text had no explicit '<eps> 0' line; id 0 implied")
+            _log("lsd_wfst.wfst", "DEBUG",
+                 "symbol table text had no explicit '<eps> 0' line; id 0 implied")
         return table
 
     def format(self) -> str:
@@ -251,8 +268,8 @@ class Wfst:
         self._eps_cycle_checked = False
 
         if not self.final_weights:
-            log.warning("transducer has no state with a finite final weight; "
-                        "decoding will fall back to the best non-final token")
+            _log("lsd_wfst.wfst", "WARNING", "transducer has no state with a finite final weight; "
+                 "decoding will fall back to the best non-final token")
 
     @property
     def arcs(self) -> list[Arc]:
@@ -285,8 +302,9 @@ class Wfst:
         Built on first use and kept in `epsilon_cache[state]`.
         """
         lo, hi = self.arc_offsets[state], self.eps_split[state]
-        out = tuple(arc for arc in zip(range(lo, hi), self.arc_dst[lo:hi], self.arc_weight[lo:hi])
-                    if arc[1] != state)
+        out = () if lo == hi else tuple(
+            arc for arc in zip(range(lo, hi), self.arc_dst[lo:hi], self.arc_weight[lo:hi])
+            if arc[1] != state)
         self.epsilon_cache[state] = out
         return out
 

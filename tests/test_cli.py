@@ -3,6 +3,7 @@ the process entry."""
 
 import functools
 import gc
+import io
 import json
 import logging
 import math
@@ -609,23 +610,18 @@ def _process(args, entry="run", **streams):
 
 @pytest.fixture
 def in_process(capsys, monkeypatch):
-    """`main(args)` in this process, set up as a fresh process would be:
-    `LSD_WFST_LOG` unset and no root handler, so that `main` installs its
-    own on the captured stderr.  Returns (exit code, stdout, stderr)."""
+    """`main(args)` in this process, with `LSD_WFST_LOG` unset as in
+    `_process`.  `main` prints its records, the library's too, on the
+    captured stderr itself, whatever handlers `logging` has.  Returns
+    (exit code, stdout, stderr)."""
     monkeypatch.delenv("LSD_WFST_LOG", raising=False)
-    root = logging.getLogger()
-    handlers, level = root.handlers[:], root.level
 
     def call(args):
         capsys.readouterr()
-        root.handlers.clear()
         try:
             code = cli.main(args)
         except SystemExit as exc:
             code = exc.code
-        finally:
-            root.handlers[:] = handlers
-            root.setLevel(level)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -733,6 +729,18 @@ class TestProcessEntry:
         assert code == cli.EXIT_SEARCH_DEAD
         assert "no token reached a final state" in err and "search died at step 0" in err
 
+    def test_closed_stderr_drops_the_warnings(self, tmp_path):
+        """With descriptor 2 closed at start, `sys.stderr` is None: the
+        warnings are dropped, as `logging` dropped them, and the decode
+        still prints its transcript and exits 0."""
+        graph, posts = tmp_path / "g.txt", tmp_path / "p.txt"
+        graph.write_text(WARN_GRAPH)
+        posts.write_text(WARN_POSTS)
+        close_stderr = functools.partial(os.close, 2)
+        assert _process(["decode", "--graph", str(graph), "--posts", str(posts)],
+                        stderr=subprocess.DEVNULL, preexec_fn=close_stderr) == (
+            0, "1 1 1.4620\n", None)
+
     def test_main_leaves_the_collector_on(self, one_arc_files, capsys):
         assert gc.isenabled()
         assert run_cli(["decode", "--graph", one_arc_files["graph"],
@@ -772,6 +780,110 @@ class TestProcessEntry:
         assert events == {"open": ["flush stdout", "flush stderr", "_exit 3"],
                           "closed": ["flush stderr", "_exit 3"],
                           "broken": []}[stdout_state]
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture
+def every_record(tmp_path):
+    """Decode arguments whose run makes a record at each level the package
+    uses: DEBUG (a symbol table with no `<eps> 0` line), WARNING (a graph
+    with no final state, a row that sums to 0.9, no final token) and INFO
+    (the lattice written)."""
+    files = {"graph": "0 1 1 1 0.5\n1 1 2 2 0.25\n1 1 1 1 0.5\n",
+             "posts": "3 3 blank=0\n0.1 0.8 0.1\n0.98 0.01 0.01\n0.5 0.3 0.1\n",
+             "isyms": "a 1\nb 2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return ["decode", "--graph", str(tmp_path / "graph"), "--posts", str(tmp_path / "posts"),
+            "--isyms", str(tmp_path / "isyms"), "--lattice-out", str(tmp_path / "out.lat")]
+
+
+def _logged_records(argv):
+    """The records a command makes when `main` does not print them: those
+    that reach `logging`, made by the command function alone."""
+    logger = logging.getLogger("lsd_wfst")
+    handler, level = _Records(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == cli.EXIT_OK
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return handler.records
+
+
+def _basic_config_render(setting, records):
+    """What `main` printed for `records` when it set `logging` up with
+    `basicConfig` under the `LSD_WFST_LOG` value `setting` (None: unset)."""
+    level = getattr(logging, ("WARNING" if setting is None else setting).upper(), None)
+    if not isinstance(level, int):
+        level = logging.WARNING
+    root = logging.getLogger()
+    handlers, root_level = root.handlers[:], root.level
+    stream = io.StringIO()
+    root.handlers.clear()
+    try:
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
+                            stream=stream)
+        for record in records:
+            logging.getLogger(record.name).log(record.levelno, record.msg, *record.args)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(root_level)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("setting", [None, "warning", "Info", "debug", "ERROR", "warn", "fatal",
+                                     "critical", "notset", "bogus", "10"])
+def test_log_threshold_prints_what_basic_config_printed(every_record, in_process, monkeypatch,
+                                                        setting):
+    """`main` prints the records at or above the level `LSD_WFST_LOG`
+    names, as `logging.basicConfig` under the old rule printed them."""
+    records = _logged_records(every_record)
+    assert {r.levelno for r in records} == {logging.DEBUG, logging.INFO, logging.WARNING}
+    if setting is not None:
+        monkeypatch.setenv("LSD_WFST_LOG", setting)
+    code, _, err = in_process(every_record)
+    assert code == cli.EXIT_OK
+    assert err == _basic_config_render(setting, records)
+
+
+@pytest.mark.parametrize("argv", [None, ["decode"]], ids=["returned", "raised"])
+def test_library_records_reach_logging_again_after_main(tmp_path, capsys, argv):
+    """While `main` runs, a handler attached by name to
+    `lsd_wfst.posteriors` receives nothing: the CLI prints the record.
+    After `main` returns, or raises on a usage error, it receives them."""
+    posts = tmp_path / "p.txt"
+    posts.write_text("2 2 blank=0\n0.5 0.5\n0.5 0.4\n")
+    (tmp_path / "g.txt").write_text("0 1 1 1 0.5\n1 1 1 1 0.5\n1 0.0\n")
+    logger = logging.getLogger("lsd_wfst.posteriors")
+    handler = _Records()
+    logger.addHandler(handler)
+    try:
+        if argv is None:
+            assert cli.main(["decode", "--graph", str(tmp_path / "g.txt"),
+                             "--posts", str(posts)]) == cli.EXIT_OK
+            assert "row 1 sums to 0.900000" in capsys.readouterr().err
+        else:
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert handler.records == []
+        load_posteriors(str(posts))
+    finally:
+        logger.removeHandler(handler)
+    assert [(r.levelno, r.getMessage()) for r in handler.records] == [
+        (logging.WARNING, "row 1 sums to 0.900000, outside 1 +/- 0.0001 "
+                          "(continuing; pass strict=True to reject)")]
 
 
 def test_script_entry_point_is_run():

@@ -6,8 +6,9 @@ edge of the tolerance included, it must raise what the numpy checks it
 replaced raise, with the same message, or log the same warning and hold the
 same values.  Formatting and parsing must round-trip every value exactly,
 and POST1 must hold the values as little-endian float64.  Text that repeats
-rows must load, fail or warn as the matrix it spells out.  A POST1 matrix
-keeps its values packed, 8 bytes each.
+rows must load, fail or warn as the matrix it spells out, and read as it.
+A text matrix keeps each distinct row once, and a POST1 matrix keeps its
+values packed, 8 bytes each.
 """
 
 import logging
@@ -25,6 +26,7 @@ from lsd_wfst.fixtures import generate_fixture
 from lsd_wfst.posteriors import (
     PosteriorFormatError,
     PosteriorMatrix,
+    classify_blank_frames,
     format_posteriors_binary,
     format_posteriors_text,
     load_posteriors,
@@ -240,26 +242,33 @@ def _row_tokens(draw, width):
 
 @st.composite
 def _spelling(draw, tokens):
-    """One text line of `tokens`, with whitespace inside and around it."""
+    """One text line of `tokens`, with whitespace between them."""
     seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", " \t"]),
                          min_size=len(tokens) - 1, max_size=len(tokens) - 1))
-    line = tokens[0] + "".join(sep + tok for sep, tok in zip(seps, tokens[1:]))
-    lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "  "]))
-    return lead + line + trail
+    return tokens[0] + "".join(sep + tok for sep, tok in zip(seps, tokens[1:]))
+
+
+# Whitespace around a line; U+001F and U+00A0 are whitespace to str.strip.
+SURROUNDINGS = ["", " ", "  ", "\t", "\x1f", "\xa0 "]
 
 
 @st.composite
 def _repeated_texts(draw):
-    """Posterior text from a few distinct rows, each spelt one or two ways,
-    repeated in any order with comment and blank lines between them; and
-    the token rows the body spells out, in frame order, its width and its
-    blank column."""
+    """Posterior text from a few distinct rows, each spelt one or two ways
+    and each spelling with one or two surroundings of whitespace, repeated
+    in any order with comment and blank lines between them; and the token
+    rows the body spells out, in frame order, its width and its blank
+    column."""
     width = draw(st.sampled_from([1, 2, 3, 5, 9, 21]))
     spellings = []
     for _ in range(draw(st.integers(1, 4))):
         tokens = draw(_row_tokens(width))
         for _ in range(draw(st.integers(1, 2))):
-            spellings.append((draw(_spelling(tokens)), tokens))
+            line = draw(_spelling(tokens))
+            for _ in range(draw(st.integers(1, 2))):
+                lead = draw(st.sampled_from(SURROUNDINGS))
+                trail = draw(st.sampled_from(SURROUNDINGS))
+                spellings.append((lead + line + trail, tokens))
     order = draw(st.lists(st.integers(0, len(spellings) - 1), min_size=1, max_size=14))
     blank_col = draw(st.integers(0, width - 1))
     end = draw(st.sampled_from(["\n", "\r\n"]))
@@ -304,8 +313,27 @@ def _assert_text_same(text, token_rows, width, blank_col, strict):
 @given(case=_repeated_texts(), strict=st.booleans())
 def test_repeated_lines_match_the_expanded_reference(case, strict):
     """Values bit for bit, or the same error, and the same warning naming
-    the same first bad row, as the matrix the body spells out."""
-    _assert_text_same(*case, strict)
+    the same first bad row, as the matrix the body spells out.  A matrix
+    that loads reads, classifies and formats as that matrix built row by
+    row."""
+    text, token_rows, width, blank_col = case
+    result, _ = _assert_text_same(text, token_rows, width, blank_col, strict)
+    if result[0] == "ok":
+        got = load_posteriors(text.encode())
+        expanded = PosteriorMatrix(np.frombuffer(result[2]).reshape(result[1]), blank_col)
+        _assert_reads_alike(got, expanded)
+
+
+def _assert_reads_alike(got, want):
+    frames = range(-want.num_frames, want.num_frames)
+    assert [[v.hex() for v in got._row(f)] for f in frames] == \
+        [[v.hex() for v in want._row(f)] for f in frames]
+    blanks = want.rows[:, want.blank_col].tolist()
+    for threshold in {0.0, 0.5, 0.98, 1.0, *blanks, *(math.nextafter(b, 0.0) for b in blanks)}:
+        assert classify_blank_frames(got, threshold) == classify_blank_frames(want, threshold)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert format_posteriors_text(got) == format_posteriors_text(want)
+    assert format_posteriors_binary(got) == format_posteriors_binary(want)
 
 
 GOOD = ["0.25", "0.5", "0.25"]
@@ -487,3 +515,24 @@ def test_binary_values_stay_packed():
     # Past the values: the matrix object, its label columns and the floats
     # the interpreter keeps on its free list, a few KiB whatever the size.
     assert retained <= 8 * rows.size + 8192
+
+
+def test_repeated_text_rows_are_kept_once(tmp_path):
+    """A 1000-frame, 90%-blank text keeps each distinct row's floats once,
+    plus one index slot per frame, not a list slot per value of every
+    frame (8 B x 21,000 alone)."""
+    paths = generate_fixture("random", str(tmp_path / "t"), seed=5, states=20, arcs=60,
+                             labels=20, frames=1000, blank_fraction=0.9)
+    with open(paths["posts"], "rb") as fh:
+        data = fh.read()
+    distinct = len(set(map(bytes.strip, data.splitlines()[1:])))
+    tracemalloc.start()
+    try:
+        p = load_posteriors(data)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p.num_frames == 1000 and p.num_labels == 21 and distinct < 200
+    # A float (24 B) and a list slot (8 B) per distinct value, a slot per
+    # frame, and a few KiB for the matrix object and its label columns.
+    assert retained <= 32 * 21 * distinct + 8 * 1000 + 16384
