@@ -103,11 +103,12 @@ class _StepRecord:
 class LatticeRecorder:
     """Collects per-step relaxations and survivor sets during decoding.
 
-    Under the threaded engine only `emitting` runs on worker threads, which
-    may append concurrently (list.append is atomic under the GIL); every
-    other hook, `epsilon` included, runs on the driver thread, which also
-    drives the step boundaries.  A completed recording is therefore the same
-    input to `build_lattice` whichever engine made it.
+    Under the threaded engine `emitting` runs on every worker's thread, the
+    driver's (worker 0) and the helpers', which may append concurrently
+    (list.append is atomic under the GIL); every other hook, `epsilon`
+    included, runs on the driver thread alone, which also drives the step
+    boundaries.  A completed recording is therefore the same input to
+    `build_lattice` whichever engine made it.
     """
 
     def __init__(self):

@@ -1,20 +1,21 @@
 """Parallel token passing with dispatcher-based load balancing.
 
-Worker threads claim one live token at a time from a shared dispatcher (an
+Workers claim one live token at a time from a shared dispatcher (an
 indivisible fetch-and-increment over the step's token queue) and relax its
 emitting arcs with the serial `_emit`, each into its own candidate dict.
-After the barrier, the driver thread merges the per-worker dicts under the
-serial (cost, predecessor state id, arc index) total order.  Every
-relaxation lands in exactly one worker's dict, and the total order picks
-one minimum whatever the grouping, so the merged dict equals the serial
-step's emitted candidates for any schedule.  The serial `_close_and_prune`
-then runs the epsilon fixpoint and the pruning on it.
+The driver thread is worker 0: for each step's emit phase it starts
+`workers - 1` helper threads, does worker 0's share itself and joins
+them, so no thread outlives the phase.  It then merges the per-worker
+dicts under the serial (cost, predecessor state id, arc index) total
+order.  Every relaxation lands in exactly one worker's dict, and the
+total order picks one minimum whatever the grouping, so the merged dict
+equals the serial step's emitted candidates for any schedule.  The serial
+`_close_and_prune` then runs the epsilon fixpoint and the pruning on it.
 
-The engine is a step strategy for the serial driver `decoder._search`:
-`parallel_decode` hands it a step function with `viterbi_step`'s
-signature, and the driver does everything around the steps.  So
-`parallel_decode` reproduces the serial DecodeResult bit for bit, and
-drives the recorder hook with the same calls, for any worker count.
+The engine is a step strategy for the serial driver `decoder._search`,
+which does everything around the steps.  So `parallel_decode` reproduces
+the serial DecodeResult bit for bit, and drives the recorder hook with
+the same calls, for any worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import threading
 from .decoder import DecodeConfig, DecodeResult, _close_and_prune, _emit, _search
 from .posteriors import PosteriorMatrix
 from .wfst import Wfst
+
 
 class ClaimLedger:
     """Per-step record of which worker claimed which token queue index."""
@@ -81,61 +83,6 @@ def _merge(parts: list[dict]) -> dict:
     return merged
 
 
-class WorkerPool:
-    """Fixed set of worker threads released phase-by-phase through barriers."""
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.workers = workers
-        self._barrier = threading.Barrier(workers + 1)
-        self._job = None
-        self._stop = False
-        self._errors: list[BaseException] = []
-        self._threads = [
-            threading.Thread(target=self._work, args=(i,), daemon=True)
-            for i in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _work(self, wid: int) -> None:
-        while True:
-            self._barrier.wait()
-            if self._stop:
-                return
-            try:
-                self._job(wid)
-            except BaseException as exc:  # propagate through run()
-                self._errors.append(exc)
-            self._barrier.wait()
-
-    def run(self, job) -> None:
-        """Execute job(worker_id) on every worker; returns after all finish."""
-        self._job = job
-        self._barrier.wait()  # release into the phase
-        self._barrier.wait()  # all workers done; their writes are visible
-        if self._errors:
-            err = self._errors[0]
-            self._errors = []
-            raise err
-
-    def close(self) -> None:
-        if self._stop:
-            return
-        self._stop = True
-        self._barrier.wait()
-        for t in self._threads:
-            t.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
                     workers: int = 1, group_size: int = 32,
                     recorder=None, claim_ledger: ClaimLedger | None = None,
@@ -143,12 +90,12 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     """Decode with `workers` threads sharing each step's emit phase.
 
     Produces a DecodeResult identical in every field to the serial decoder
-    run with the same configuration and mode.  `group_size` (checked to be
-    >= 1) and `debug_epoch` change nothing: no state outlives a step, so
-    there is neither a lane split nor a stale phase to guard against.  They
-    remain keyword arguments only because the acceptance suite
-    (`tests/test_acceptance.py`) still passes them; the CLI and `run_bench`
-    have no such option.
+    run with the same configuration and mode.  `workers=1` starts no thread.
+    A worker's exception comes out once every helper has joined: the
+    driver's own, or else the first a helper caught.  `group_size` (checked
+    to be >= 1) and `debug_epoch` change nothing, since no state outlives a
+    step; they remain only because `tests/test_acceptance.py` passes them.
+    The CLI and `run_bench` have no such option.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -159,13 +106,30 @@ def parallel_decode(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
         claims = claim_ledger.begin_step(len(live)) if claim_ledger else None
         dispatcher = Dispatcher(len(live), claims)
         parts = [{} for _ in range(workers)]
+        errors: list[BaseException] = []
 
         def emit_job(wid):
             claimed = (live[i] for i in iter(lambda: dispatcher.claim_next(wid), None))
             _emit(wfst, claimed, costs, parts[wid], recorder, step + 1)
 
-        pool.run(emit_job)
+        def helper(wid):
+            try:
+                emit_job(wid)
+            except BaseException as exc:  # re-raised on the driver thread
+                errors.append(exc)
+
+        started = []
+        try:
+            for wid in range(1, workers):
+                thread = threading.Thread(target=helper, args=(wid,))
+                thread.start()
+                started.append(thread)
+            emit_job(0)
+        finally:
+            for thread in started:
+                thread.join()
+        if errors:
+            raise errors[0]
         return _close_and_prune(wfst, _merge(parts), cfg, recorder, step + 1)
 
-    with WorkerPool(workers) as pool:
-        return _search(wfst, posts, cfg, recorder, threaded_step)
+    return _search(wfst, posts, cfg, recorder, threaded_step)

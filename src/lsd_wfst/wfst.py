@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, chain, compress, pairwise, repeat, starmap
-from operator import add, le, not_
+from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap
+from operator import le, not_
 from typing import NamedTuple
 
 EPSILON = 0
@@ -244,16 +244,19 @@ class Wfst:
         self.final_weights = {s: float(w) for s, w in final_weights.items() if w != ZERO}
 
         # The arcs are grouped by source state, so a state's offset is the
-        # number of arcs whose source sorts before it.
+        # number of arcs whose source sorts before it.  (A list counts
+        # faster than an array, which boxes each count it reads.)
         src, il = self.arc_src, self.arc_ilabel
-        states = range(num_states)
-        counts = Counter(src)
-        offsets = array("q", accumulate(map(counts.get, states, repeat(0)), initial=0))
+        counts = [0] * num_states
+        for s in src:
+            counts[s] += 1
+        offsets = array("q", accumulate(counts, initial=0))
         self.arc_offsets = offsets
         self.has_epsilon_arcs = EPSILON in il
         if self.has_epsilon_arcs:
-            eps_counts = Counter(compress(src, map(not_, il)))
-            self.eps_split = array("q", map(add, offsets, map(eps_counts.get, states, repeat(0))))
+            # Each state's range holds its epsilon arcs (ilabel 0) first.
+            self.eps_split = array("q", map(bisect_left, repeat(il), repeat(1),
+                                            offsets, islice(offsets, 1, None)))
         else:
             self.eps_split = offsets[:num_states]
         self.max_ilabel = max(il, default=0)

@@ -310,9 +310,16 @@ _WEIGHTS = st.sampled_from([0.0, -0.0, 0.5, 0.25, math.inf, -0.5, -math.inf])
 
 @st.composite
 def _shuffled_arcs(draw):
-    states = draw(st.integers(1, 5))
-    arc = st.builds(Arc, st.integers(0, states - 1), st.integers(0, states - 1),
-                    st.integers(0, 3), st.integers(0, 3), _WEIGHTS)
+    """Arcs out of up to five states, among which states with no arcs may
+    sit at the first, a middle and the last id."""
+    sources = draw(st.integers(1, 5))
+    empty = draw(st.sets(st.sampled_from(["first", "middle", "last"])))
+    half = sources // 2
+    has_arcs = ([False] * ("first" in empty) + [True] * half + [False] * ("middle" in empty)
+                + [True] * (sources - half) + [False] * ("last" in empty))
+    states = len(has_arcs)
+    arc = st.builds(Arc, st.sampled_from([s for s, has in enumerate(has_arcs) if has]),
+                    st.integers(0, states - 1), st.integers(0, 3), st.integers(0, 3), _WEIGHTS)
     arcs = draw(st.lists(arc, min_size=1, max_size=24))
     arcs += draw(st.lists(st.sampled_from(arcs), max_size=6))
     return states, draw(st.permutations(arcs))

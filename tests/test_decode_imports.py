@@ -2,11 +2,12 @@
 
 `statistics` (with `fractions` and `decimal`) serves one median in
 `run_bench`, and `json` serves `report_json`; both are imported where they
-are used.  No part of decoding hands work through a queue: the worker pool
-meets at barriers, and the lattice is built once after the decode, for
-either engine.  `import lsd_wfst.cli` and a whole `lsd-wfst decode`, LSD or
-FSD, serial or threaded, with or without a lattice, run in a fresh
-interpreter that must end with none of these modules loaded.
+are used.  No part of decoding hands work through a queue: the threaded
+engine's driver thread starts its helpers for one emit phase and joins
+them, and the lattice is built once after the decode, for either engine.
+`import lsd_wfst.cli` and a whole `lsd-wfst decode`, LSD or FSD, serial or
+threaded, with or without a lattice, run in a fresh interpreter that must
+end with none of these modules loaded.
 
 `cli` imports `bench`, `lattice` and `parallel` inside the commands and
 options that use them, and the records a plain decode makes are not

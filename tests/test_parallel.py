@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,6 @@ from lsd_wfst.lattice import LatticeError, LatticeRecorder, build_lattice
 from lsd_wfst.parallel import (
     ClaimLedger,
     Dispatcher,
-    WorkerPool,
     _merge,
     parallel_decode,
 )
@@ -121,12 +121,17 @@ class TestMerge:
         want: dict = {}
         _emit(wfst, tokens, costs, want)
         rng = random.Random(0)
-        with WorkerPool(4) as pool:
-            for _ in range(20):
-                rng.shuffle(tokens)
-                parts = [{} for _ in range(4)]
-                pool.run(lambda wid: _emit(wfst, tokens[wid::4], costs, parts[wid]))
-                assert _merge(parts) == want
+        for _ in range(20):
+            rng.shuffle(tokens)
+            parts = [{} for _ in range(4)]
+            threads = [threading.Thread(target=_emit, args=(wfst, tokens[wid::4], costs, parts[wid]))
+                       for wid in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert _merge(parts) == want
         # Eight sources tie at cost 1.25 into state 0: the lowest (src, arc) wins.
         assert want[0][:3] == (1.25, 1, wfst.arcs.index(Arc(1, 0, 2, 0, 0.0)))
 
@@ -160,29 +165,80 @@ class TestAggregateSurvivors:
         assert [t[0] for t in got] == [0, 1, 2]
 
 
-class TestWorkerPool:
-    def test_runs_every_worker(self):
-        with WorkerPool(4) as pool:
-            hits = [0] * 4
+class TestEmitThreads:
+    """Each step's helper threads live for its emit phase alone, and what
+    goes wrong on any thread comes out of `parallel_decode`."""
 
-            def job(wid):
-                hits[wid] += 1
+    @staticmethod
+    def _patch_emit(mp, raise_on=None):
+        """Make the helpers' `_emit` lag behind the driver's, so that a helper
+        still runs when the driver's share is done, and make it raise on
+        `raise_on`: "driver", "helpers" or neither."""
+        driver = threading.current_thread()
+        real_emit = parallel._emit
 
-            pool.run(job)
-            pool.run(job)
-        assert hits == [1, 1, 1, 1] or hits == [2, 2, 2, 2]
-        assert all(h == hits[0] for h in hits)
+        def emit(*args):
+            on = "driver" if threading.current_thread() is driver else "helpers"
+            if on == "helpers":
+                time.sleep(0.002)
+            if on == raise_on:
+                raise RuntimeError(f"{on} share")
+            real_emit(*args)
 
-    def test_propagates_worker_exception(self):
-        with WorkerPool(3) as pool:
-            def job(wid):
-                if wid == 1:
-                    raise RuntimeError("lane blew up")
+        mp.setattr(parallel, "_emit", emit)
 
-            with pytest.raises(RuntimeError, match="lane blew up"):
-                pool.run(job)
-            # Pool is still usable afterwards.
-            pool.run(lambda wid: None)
+    @pytest.mark.parametrize("raise_on", ["driver", "helpers"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_exception_comes_out_and_no_thread_outlives_it(self, raise_on, workers):
+        w, p = random_instance(7, max_states=30, max_arcs=90, max_frames=8)
+        before = threading.enumerate()
+        with pytest.MonkeyPatch.context() as mp:
+            self._patch_emit(mp, raise_on)
+            with pytest.raises(RuntimeError, match=f"{raise_on} share"):
+                parallel_decode(w, p, DecodeConfig(mode="fsd"), workers=workers)
+        assert threading.enumerate() == before
+
+    def test_driver_exception_wins_over_the_helpers(self):
+        w, p = random_instance(7, max_states=30, max_arcs=90, max_frames=8)
+
+        def emit(*args):
+            raise RuntimeError(threading.current_thread().name)
+
+        driver = threading.current_thread().name
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "_emit", emit)
+            with pytest.raises(RuntimeError) as info:
+                parallel_decode(w, p, DecodeConfig(mode="fsd"), workers=3)
+        assert str(info.value) == driver
+
+    def test_no_thread_outlives_a_decode(self, one_arc_wfst):
+        w, p = random_instance(7, max_states=30, max_arcs=90, max_frames=8)
+        dead = PosteriorMatrix(np.array([[1.0, 0.0]]), blank_col=0)
+        cfg = DecodeConfig(mode="fsd")
+        want = decode(w, p, cfg), decode(one_arc_wfst, dead, cfg)
+        assert want[0].search_steps and want[1].died_at_step == 0
+        before = threading.enumerate()
+        for workers in (1, 2, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                self._patch_emit(mp)
+                got = parallel_decode(w, p, cfg, workers=workers)
+                assert threading.enumerate() == before
+                died = parallel_decode(one_arc_wfst, dead, cfg, workers=workers)
+                assert threading.enumerate() == before
+            assert (got, died) == want
+
+    def test_one_worker_starts_no_thread(self):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("workers=1 started a thread")
+
+        for seed in range(4):
+            w, p = random_instance(seed, max_states=30, max_arcs=90, max_frames=8,
+                                   eps_fraction=0.2)
+            cfg = DecodeConfig(mode="fsd")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(threading, "Thread", no_thread)
+                got = parallel_decode(w, p, cfg, workers=1)
+            assert got == decode(w, p, cfg)
 
 
 class TestParallelDecode:
