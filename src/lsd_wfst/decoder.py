@@ -196,11 +196,12 @@ def _emit(wfst: Wfst, tokens, costs, cand: dict,
     into `cand` under the (cost, src, arc) total order.
 
     `costs` is a list indexed by label id or a `FrameCosts` row, whose
-    cells are scored the first time a relaxation reads them.
+    cells are scored in place, by `posteriors._cost`'s expression, the
+    first time a relaxation reads them.
     """
-    score = None
+    row = None
     if costs.__class__ is FrameCosts:
-        costs, score = costs.costs, costs.score
+        costs, row, cols, scale = costs.costs, costs.row, costs.cols, costs.scale
     get = cand.get
     cache = wfst.emitting_cache
     for s, tcost, ttrace in tokens:
@@ -210,7 +211,8 @@ def _emit(wfst: Wfst, tokens, costs, cand: dict,
         for ai, dst, il, weight in arcs:
             ac = costs[il]
             if ac is None:
-                ac = score(il)
+                p = row[cols[il]]
+                ac = costs[il] = -scale * math.log(p) if p > 0.0 else INF
             if ac == INF:
                 continue
             c = tcost + weight + ac
@@ -230,23 +232,31 @@ def _close_and_prune(wfst: Wfst, cand: dict, cfg: DecodeConfig,
     and max-active.
 
     Returns the survivors as (state, cost, entry) tuples ordered by state
-    id.  A candidate survives iff cost <= best + beam; max-active then keeps
-    the cheapest under the (cost, state id) tie-break.  An infinite beam
-    keeps every candidate whose cost is not NaN, even when the best is -inf.
+    id.  A candidate survives iff cost <= best + beam, the best being the
+    least cost that is not NaN.  Max-active k then keeps the cheapest under
+    the (cost, state id) tie-break: every state below the k-th cheapest
+    cost, then the lowest ids tied at it.  An infinite beam, or a lone
+    candidate, keeps every candidate whose cost is not NaN.
     """
     if wfst.has_epsilon_arcs:
         _epsilon_fixpoint(wfst, cand, recorder, node_step)
-    if not cand:
+    if len(cand) < 2:
+        for s, e in cand.items():
+            return [(s, e[0], e)] if e[0] == e[0] else []
         return []
-    # The minimum is over costs only, and the sorts are over state ids, so
-    # no comparison reaches an entry's prev link.  An infinite beam cuts at
-    # +inf, since best + beam is NaN when the best is -inf.
+    # The sorts are over costs and state ids, so no comparison reaches a prev
+    # link.  An infinite beam cuts at +inf: best + beam is NaN at a best of -inf.
     beam = cfg.beam
     cutoff = INF if beam == INF else min([e[0] for e in cand.values()]) + beam
+    if cutoff != cutoff:  # `min` returns a NaN that comes first
+        cutoff = min([c for e in cand.values() if (c := e[0]) == c], default=cutoff) + beam
     kept = [s for s, e in cand.items() if e[0] <= cutoff]
     max_active = cfg.max_active
     if max_active is not None and len(kept) > max_active:
-        kept = sorted(kept, key=lambda s: (cand[s][0], s))[:max_active]
+        costs = [cand[s][0] for s in kept]
+        kth = sorted(costs)[max_active - 1]
+        below = [s for s, c in zip(kept, costs) if c < kth]
+        kept = below + sorted([s for s, c in zip(kept, costs) if c == kth])[:max_active - len(below)]
     kept.sort()
     return [(s, (e := cand[s])[0], e) for s in kept]
 

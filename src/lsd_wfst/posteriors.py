@@ -254,20 +254,21 @@ def _cost(prob: float, scale: float) -> float:
 class FrameCosts:
     """One frame's acoustic costs by label id, scored on first read.
 
-    `costs[label]` is None until `score(label)` fills it; index 0 (epsilon)
-    is +inf.  Filling a cell is idempotent, so threads may share a row.
+    `costs[label]` is None until `score(label)`, or the search's `_emit`
+    with the same expression, fills it; index 0 (epsilon) is +inf.  Filling
+    a cell is idempotent, so threads may share a row.
     """
 
-    __slots__ = ("costs", "_row", "_cols", "_scale")
+    __slots__ = ("costs", "row", "cols", "scale")
 
     def __init__(self, costs: list, row: Sequence[float], cols: list[int], scale: float):
         self.costs = costs
-        self._row = row
-        self._cols = cols
-        self._scale = scale
+        self.row = row  # the frame's posteriors, by matrix column
+        self.cols = cols  # the matrix column of each label id
+        self.scale = scale
 
     def score(self, label: int) -> float:
-        cost = self.costs[label] = _cost(self._row[self._cols[label]], self._scale)
+        cost = self.costs[label] = _cost(self.row[self.cols[label]], self.scale)
         return cost
 
 

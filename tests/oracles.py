@@ -86,12 +86,15 @@ def reference_prune(items: list[tuple], beam: float, max_active: int | None) -> 
     """The search's beam and max-active rule on (state, cost, payload) triples.
 
     `items` must be ordered by state id, and the survivors keep that order.
-    A candidate survives iff cost <= best + beam; max-active then keeps the
-    cheapest entries under the (cost, state id) tie-break.
+    A candidate survives iff cost <= best + beam, where the best is the
+    least cost that is not NaN and an infinite beam cuts at +inf (so a NaN
+    cost never survives).  Max-active then keeps the cheapest entries under
+    the (cost, state id) tie-break.
     """
-    if not items:
+    numbers = [e[1] for e in items if not math.isnan(e[1])]
+    if not numbers:
         return []
-    cutoff = min(items, key=lambda e: e[1])[1] + beam
+    cutoff = INF if beam == INF else min(numbers) + beam
     kept = [e for e in items if e[1] <= cutoff]
     if max_active is not None and len(kept) > max_active:
         kept = sorted(sorted(kept, key=lambda e: (e[1], e[0]))[:max_active],

@@ -14,6 +14,7 @@ from lsd_wfst.decoder import (
     ROOT_ENTRY,
     DecodeConfig,
     _close_and_prune,
+    _emit,
     backtrace,
     decode_fsd,
     decode_lsd,
@@ -119,6 +120,34 @@ class TestViterbiStep:
         out = viterbi_step(w, [root_token(0)], [INF, 0.1, 0.1, 0.1], cfg)
         assert [t[0] for t in out] == [2, 3]
 
+    def test_max_active_ties_at_kth_cost_keep_lowest_ids(self):
+        # Tokens 0 and 1 emit states 7, 9, 2, 3, 5 in that order.  Three of
+        # them tie at cost 1.0, which is the third and fourth cheapest.
+        text = ("0 7 1 1 0.2\n0 9 1 1 1.0\n1 2 1 1 1.0\n1 3 1 1 1.0\n1 5 1 1 0.5\n"
+                "2\n3\n5\n7\n9")
+        w = parse_wfst_text(text)
+        live = [root_token(0), root_token(1)]
+        cand = {}
+        _emit(w, live, [INF, 0.0], cand)
+        assert list(cand) == [7, 9, 2, 3, 5]
+        for max_active, want in [(1, [7]), (2, [5, 7]), (3, [2, 5, 7]), (4, [2, 3, 5, 7]),
+                                 (5, [2, 3, 5, 7, 9])]:
+            out = viterbi_step(w, live, [INF, 0.0], DecodeConfig(beam=5.0, max_active=max_active))
+            assert [t[0] for t in out] == want
+            assert [t[1] for t in out] == [cand[s][0] for s in want]
+
+    @pytest.mark.parametrize("weight", [INF, -INF])
+    @pytest.mark.parametrize("beam", [0.0, 2.0, INF])
+    @pytest.mark.parametrize("max_active", [None, 1])
+    def test_lone_infinite_candidate_survives(self, weight, beam, max_active):
+        w = parse_wfst_text(f"0 1 1 1 {weight}\n1", allow_negative_weights=True)
+        cfg = DecodeConfig(beam=beam, max_active=max_active)
+        out = viterbi_step(w, [root_token(0)], [INF, 0.1], cfg)
+        assert [(state, cost) for state, cost, _ in out] == [(1, weight)]
+        # -inf + inf is NaN, and a lone NaN candidate dies.
+        nan_out = viterbi_step(w, [root_token(0, -weight)], [INF, 0.1], cfg)
+        assert nan_out == []
+
     def test_empty_result_signals_death(self, one_arc_wfst):
         out = viterbi_step(one_arc_wfst, [root_token(0)], [INF, INF], DecodeConfig())
         assert out == []
@@ -127,13 +156,18 @@ class TestViterbiStep:
 @st.composite
 def tie_heavy_prunes(draw):
     """A candidate dict over states 0..15, in drawn insertion order, with
-    costs from a 3-value grid, and a beam and max-active to prune it by."""
+    costs from a 3-value grid and the infinities and NaN, and a beam and
+    max-active to prune it by."""
     states = draw(st.lists(st.integers(0, 15), unique=True, max_size=12))
-    cand = {s: (draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(-1, 15)), s, None)
-            for s in states}
+    costs = st.sampled_from([0.0, 0.5, 1.0, -INF, INF, math.nan])
+    cand = {s: (draw(costs), draw(st.integers(-1, 15)), s, None) for s in states}
     beam = draw(st.sampled_from([0.0, 0.5, INF]))
     max_active = draw(st.sampled_from([None, *range(1, len(cand) + 1)]))
     return cand, beam, max_active
+
+
+def _no_epsilon_wfst():
+    return Wfst(16, 0, [], {0: 0.0})
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,10 +177,23 @@ def test_close_and_prune_equals_reference_prune(prune):
     max-active rule on the candidates' (state, cost, entry) triples."""
     cand, beam, max_active = prune
     want = reference_prune([(s, cand[s][0], cand[s]) for s in sorted(cand)], beam, max_active)
-    got = _close_and_prune(Wfst(16, 0, [], {0: 0.0}), dict(cand),
+    got = _close_and_prune(_no_epsilon_wfst(), dict(cand),
                            DecodeConfig(beam=beam, max_active=max_active))
     assert got == want
     assert all(entry is cand[state] for state, _, entry in got)
+
+
+@pytest.mark.parametrize("beam", [0.0, 1.0])
+def test_a_nan_first_in_order_does_not_set_the_best(beam):
+    """`min` over costs returns a NaN only when it comes first; the cut must
+    not depend on that.  A step whose costs are all NaN still dies."""
+    nan, one, minus_inf = (math.nan, -1, 0, None), (1.0, -1, 1, None), (-INF, -1, 2, None)
+    cfg = DecodeConfig(beam=beam)
+    for order in ([(2, nan), (3, one)], [(3, one), (2, nan)]):
+        assert _close_and_prune(_no_epsilon_wfst(), dict(order), cfg) == [(3, 1.0, one)]
+    for order in ([(2, nan), (3, one), (4, minus_inf)], [(4, minus_inf), (3, one), (2, nan)]):
+        assert _close_and_prune(_no_epsilon_wfst(), dict(order), cfg) == [(4, -INF, minus_inf)]
+    assert _close_and_prune(_no_epsilon_wfst(), {2: nan, 3: (math.nan, -1, 3, None)}, cfg) == []
 
 
 class TestDecodeFsd:

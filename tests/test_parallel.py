@@ -542,6 +542,22 @@ class TestForcedInterleaving:
                 filled += per_step
         assert max(filled) >= 2
 
+    def test_nan_first_in_one_order_only_equals_serial(self):
+        """Step 2 holds a NaN at state 4 (-inf + inf) and -inf at state 5.
+        Serially state 4 is emitted first.  Round robin puts tokens 1 and 3
+        on worker 0 and token 2 on worker 1, so the merge puts state 5
+        first.  A NaN never sets the best, so both keep state 5."""
+        text = "0 1 1 1 -inf\n0 2 1 1 -inf\n0 3 1 1 -inf\n2 4 1 1 inf\n3 5 1 1 0\n4\n5\n"
+        w = parse_wfst_text(text, allow_negative_weights=True)
+        p = PosteriorMatrix([[0.5, 0.5], [0.5, 0.5]], 0)
+        cfg = DecodeConfig(mode="fsd", beam=1.0)
+        serial = decode(w, p, cfg)
+        assert (serial.total_cost, serial.olabels, serial.died_at_step) == (-INF, (1, 1), None)
+        result, ledger, per_step = _interleaved_decode(w, p, cfg, 2)
+        assert _fields(result) == _fields(serial)
+        assert ledger.steps[1][1] == {0: [0, 2], 1: [1]}
+        assert per_step[1] == 2
+
 
 @settings(max_examples=120, deadline=None)
 @given(tie_heavy_instances(), st.sampled_from(["fsd", "lsd"]),
