@@ -141,11 +141,12 @@ def select_frames(posts: PosteriorMatrix, cfg: DecodeConfig) -> list[int]:
 def _epsilon_fixpoint(wfst: Wfst, cand: dict, recorder=None, node_step: int = 0) -> None:
     """Propagate epsilon arcs until no state improves.
 
-    Positive-weight epsilon cycles converge because a candidate must beat
-    the stored entry under the total order to be accepted; zero- and
-    negative-weight cycles are rejected before decoding starts.  An epsilon
-    candidate links to its predecessor's entry as it stood when relaxed,
-    even if that state is later replaced by an equal-cost entry.
+    It ends: decoding refuses a graph whose followed epsilon arcs hold a
+    cycle (`Wfst.epsilon_cycle`), so finitely many epsilon paths leave the
+    step's candidates, and a state is queued again only when one of them
+    improves it.  An epsilon candidate links to its predecessor's entry as
+    it stood when relaxed, even if that state is later replaced by an
+    equal-cost entry.
     """
     cache = wfst.epsilon_cache
     get = cand.get
@@ -336,8 +337,8 @@ def _search(wfst: Wfst, posts: PosteriorMatrix, cfg: DecodeConfig,
     cycle = wfst.epsilon_cycle()
     if cycle is not None:
         raise WfstError(
-            f"epsilon cycle with total weight {cycle.total_weight} through "
-            f"states {list(cycle.states)}; non-emitting propagation would not terminate")
+            f"epsilon cycle through states {list(cycle)}; epsilon arcs must be "
+            f"acyclic, apart from self-loops of positive weight")
     _check_compatible(wfst, posts)
 
     rows = frame_costs(posts, frames, cfg.acoustic_scale)

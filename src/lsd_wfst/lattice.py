@@ -163,7 +163,8 @@ def build_lattice(recorder: LatticeRecorder, wfst: Wfst) -> Lattice:
     epsilon records run to a fixpoint into it, then its emits into it from
     survivors of step k - 1 give that step's `live`; only these relaxations
     become arcs.  A forward reach from the start drops the nodes whose every
-    predecessor was pruned.
+    predecessor was pruned.  The decoder refuses every graph with an
+    epsilon cycle (`Wfst.epsilon_cycle`), so no step's nodes form a cycle.
     """
     final_step, steps = recorder.final_step, recorder.steps
     if final_step is None and steps:
@@ -216,10 +217,8 @@ def build_lattice(recorder: LatticeRecorder, wfst: Wfst) -> Lattice:
             if t not in keep:
                 keep.add(t)
                 stack.append(t)
-    lat = _renumber(keep, [a for a in arcs if a[0] in keep], start,
-                    {(final_step, s): w for s, w in finals.items() if (final_step, s) in keep})
-    _topo_order(lat)  # reject within-step epsilon cycles up front
-    return lat
+    return _renumber(keep, [a for a in arcs if a[0] in keep], start,
+                     {(final_step, s): w for s, w in finals.items() if (final_step, s) in keep})
 
 
 def _topo_order(lat: Lattice) -> list[int]:

@@ -29,8 +29,8 @@ import math
 from array import array
 from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap
-from operator import le, not_
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat, starmap
+from operator import le, lt, ne
 from typing import NamedTuple
 
 EPSILON = 0
@@ -99,20 +99,6 @@ class Arc(NamedTuple):
 
 
 _new_arc = partial(tuple.__new__, Arc)  # Arc(*fields) without its Python-level __new__
-
-
-class EpsilonCycle(NamedTuple):
-    """One offending epsilon cycle with non-positive total weight.  Equal
-    only to another `EpsilonCycle`."""
-
-    states: tuple[int, ...]
-    total_weight: float
-
-    def __eq__(self, other):
-        return other.__class__ is EpsilonCycle and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
 
 class SymbolTable:
@@ -267,7 +253,7 @@ class Wfst:
         self.epsilon_cache: list[tuple | None] = [None] * num_states
 
         self._arcs: list[Arc] | None = None
-        self._eps_cycle: EpsilonCycle | None = None
+        self._eps_cycle: tuple[int, ...] | None = None
         self._eps_cycle_checked = False
 
         if not self.final_weights:
@@ -319,10 +305,18 @@ class Wfst:
         if not 0 <= state < self.num_states:
             raise IndexError(f"state {state} out of range [0, {self.num_states})")
 
-    def epsilon_cycle(self) -> EpsilonCycle | None:
-        """Cached result of `validate_epsilon_acyclic` on this transducer."""
+    def epsilon_cycle(self) -> tuple[int, ...] | None:
+        """The states of an epsilon cycle the search refuses, in arc order, or
+        None; found on first call and kept.
+
+        Refused are every epsilon cycle through two or more states and every
+        epsilon self-loop of weight <= 0.  A positive self-loop never improves
+        its own state, and `epsilon_arcs` skips it.  So with no refused cycle
+        the epsilon arcs the search follows are acyclic: each step's epsilon
+        closure ends, and each step's lattice nodes can be ordered.
+        """
         if not self._eps_cycle_checked:
-            self._eps_cycle = validate_epsilon_acyclic(self)
+            self._eps_cycle = _epsilon_cycle(self)
             self._eps_cycle_checked = True
         return self._eps_cycle
 
@@ -619,89 +613,24 @@ def _label_ids(tokens: list[str], table: SymbolTable | None,
     return list(map(known.__getitem__, tokens))
 
 
-# An arc whose reduced cost is at most this is tight: it may close a
-# zero-total epsilon cycle.
-_TIGHT_SLACK = 1e-12
-
-
-def validate_epsilon_acyclic(w: Wfst) -> EpsilonCycle | None:
-    """Detect an epsilon cycle with total weight <= 0, if any exists.
-
-    Returns None when every epsilon cycle (if any) has strictly positive
-    total weight: such cycles converge under beam search and are accepted.
-    Zero- or negative-weight epsilon cycles would make non-emitting
-    propagation diverge, so one offending cycle is reported.
-    """
+def _epsilon_cycle(w: Wfst) -> tuple[int, ...] | None:
+    """`Wfst.epsilon_cycle`'s search.  Stored order puts a state's epsilon
+    arcs first and sorts them by destination, so when each state's first
+    epsilon arc goes to a higher id, every epsilon arc does and there is no
+    cycle.  That screen runs at C level; only a graph that fails it is
+    searched."""
     if not w.has_epsilon_arcs:
         return None
-    eps = list(map(not_, w.arc_ilabel))
-    # With every epsilon arc heavier than the tight-arc slack, Bellman-Ford
-    # relaxes nothing and no arc is tight, so there is no cycle to find.
-    if min(compress(w.arc_weight, eps)) > _TIGHT_SLACK:
+    offsets, split, dst = w.arc_offsets, w.eps_split, w.arc_dst
+    has_eps = list(map(ne, offsets, split))
+    if all(map(lt, compress(range(w.num_states), has_eps),
+               map(dst.__getitem__, compress(offsets, has_eps)))):
         return None
-    return _find_epsilon_cycle(w, eps)
-
-
-def _find_epsilon_cycle(w: Wfst, eps: list[bool]) -> EpsilonCycle | None:
-    """`validate_epsilon_acyclic`'s search on the arcs `eps` marks.
-
-    Strictly negative cycles fall out of Bellman-Ford directly.  When none
-    exist, Bellman-Ford potentials make every arc's reduced cost
-    non-negative, so a zero-total cycle must consist entirely of
-    zero-reduced-cost arcs; a plain DFS on that subgraph finds one.  This is
-    exact even for the mixed-sign weights a permissive parse can let through.
-    """
-    edges: list[tuple[int, int, float]] = list(zip(
-        compress(w.arc_src, eps), compress(w.arc_dst, eps), compress(w.arc_weight, eps)))
-    n = w.num_states
-
-    # Bellman-Ford from a virtual source connected to every state by a
-    # zero-weight edge (dist starts at 0 everywhere).
-    dist = [0.0] * n
-    pred = [-1] * n
-    relaxed_tail = -1
-    for it in range(n):
-        relaxed_tail = -1
-        for u, v, wt in edges:
-            c = dist[u] + wt
-            if c < dist[v] - 1e-15:
-                dist[v] = c
-                pred[v] = u
-                relaxed_tail = v
-        if relaxed_tail < 0:
-            break
-    if relaxed_tail >= 0:
-        # Still relaxing after n passes: walk predecessors into the cycle.
-        x = relaxed_tail
-        for _ in range(n):
-            x = pred[x]
-        cycle = [x]
-        v = pred[x]
-        while v != x:
-            cycle.append(v)
-            v = pred[v]
-        cycle.reverse()
-        total = _cycle_weight(cycle, edges)
-        return EpsilonCycle(tuple(cycle), total)
-
-    # No negative cycle; look for a zero-total cycle among tight arcs.
-    tight: dict[int, list[int]] = {}
-    for u, v, wt in edges:
-        if dist[u] + wt <= dist[v] + _TIGHT_SLACK:
-            tight.setdefault(u, []).append(v)
-    cycle = _find_cycle(tight, n)
-    if cycle is not None:
-        return EpsilonCycle(tuple(cycle), _cycle_weight(cycle, edges))
-    return None
-
-
-def _cycle_weight(cycle: list[int], edges: list[tuple[int, int, float]]) -> float:
-    lookup: dict[tuple[int, int], float] = {}
-    for u, v, wt in edges:
-        key = (u, v)
-        if key not in lookup or wt < lookup[key]:
-            lookup[key] = wt
-    return sum(lookup[(a, b)] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    weight = w.arc_weight
+    succ = {s: [d for d, wt in zip(dst[lo:hi], weight[lo:hi]) if d != s or wt <= 0]
+            for s, lo, hi in compress(zip(count(), offsets, split), has_eps)}
+    cycle = _find_cycle(succ, w.num_states)
+    return None if cycle is None else tuple(cycle)
 
 
 def _find_cycle(succ: dict[int, list[int]], num_states: int) -> list[int] | None:

@@ -91,21 +91,35 @@ GRID = [0.0, 0.5, 1.0]
 
 
 @st.composite
-def tie_heavy_instances(draw):
+def tie_heavy_instances(draw, cyclic: bool = False):
     """Small graphs with about half their arcs epsilon and weights from GRID,
     plus quantized posteriors, so that equal-cost ties are common.
 
-    Epsilon arcs that do not point to a higher state id weigh 0.5 or 1.0, so
-    every epsilon cycle is positive and decoding accepts the graph."""
+    An arc is epsilon only if it goes up a drawn rank of the states or is a
+    self-loop, so decoding accepts the graph.  The rank is not the id order,
+    so epsilon arcs to lower ids occur.  A self-loop weighs 0.5 or 1.0;
+    other epsilon arcs may weigh 0.0, so zero-cost epsilon ties occur too.
+
+    With `cyclic`, one epsilon cycle that decoding refuses is added: a
+    self-loop of weight 0.0 or -0.5, or a cycle through two or more states
+    with weights from GRID."""
     n = draw(st.integers(2, 6))
+    rank = draw(st.permutations(range(n)))
     labels = draw(st.integers(1, 3))
     arcs = []
     for _ in range(draw(st.integers(1, 14))):
         src = draw(st.integers(0, n - 1))
         dst = draw(st.integers(0, n - 1))
-        ilabel = 0 if draw(st.booleans()) else draw(st.integers(1, labels))
-        grid = GRID if ilabel or src < dst else GRID[1:]
+        if draw(st.booleans()) and rank[src] <= rank[dst]:
+            ilabel, grid = 0, GRID if src != dst else GRID[1:]
+        else:
+            ilabel, grid = draw(st.integers(1, labels)), GRID
         arcs.append(Arc(src, dst, ilabel, draw(st.integers(0, 3)), draw(st.sampled_from(grid))))
+    if cyclic:
+        cycle = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        weights = st.sampled_from([0.0, -0.5] if len(cycle) == 1 else GRID)
+        arcs += [Arc(u, v, 0, draw(st.integers(0, 3)), draw(weights))
+                 for u, v in zip(cycle, cycle[1:] + cycle[:1])]
     finals = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(GRID), max_size=n))
     wfst = Wfst(n, draw(st.integers(0, n - 1)), arcs, finals)
     rows = []

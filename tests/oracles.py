@@ -49,6 +49,22 @@ def out_arcs(wfst: Wfst, state: int) -> list[Arc]:
     return wfst.arcs[wfst.arc_offsets[state]:wfst.arc_offsets[state + 1]]
 
 
+def reference_epsilon_cycle(wfst: Wfst) -> frozenset[int]:
+    """The states that lie on an epsilon cycle `Wfst.epsilon_cycle` must
+    refuse: by Warshall's transitive closure over the epsilon arcs, leaving
+    out self-loops of positive weight, the states that reach themselves."""
+    n = wfst.num_states
+    reach = [[False] * n for _ in range(n)]
+    for a in wfst.arcs:
+        if a.ilabel == EPSILON and (a.src != a.dst or a.weight <= 0.0):
+            reach[a.src][a.dst] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    return frozenset(s for s in range(n) if reach[s][s])
+
+
 def label_column(posts: PosteriorMatrix, label: int) -> int:
     """Matrix column of non-blank label id `label` (1-based)."""
     if not 1 <= label <= posts.num_nonblank_labels:

@@ -186,6 +186,24 @@ class TestDecodeCommand:
         assert "error" in capsys.readouterr().err
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_positive_epsilon_cycle_exits_2_before_the_transcript(self, tmp_path, capsys,
+                                                                  workers):
+        """A positive two-state epsilon cycle is refused before the search:
+        no transcript, and no lattice file."""
+        graph = tmp_path / "cycle.txt"
+        posts = tmp_path / "p.txt"
+        lat_path = tmp_path / "out.lat"
+        graph.write_text("0 1 0 0 0.5\n1 0 0 0 0.5\n0 2 1 1 0.5\n2\n")
+        posts.write_text("1 2 blank=0\n0.5 0.5\n")
+        code = run_cli(["decode", "--graph", str(graph), "--posts", str(posts),
+                        "--mode", "fsd", "--workers", workers, "--lattice-out", str(lat_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon cycle through states [0, 1]; ")
+        assert not lat_path.exists()
+
     def test_out_of_memory_exits_5(self, one_arc_files, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError

@@ -16,7 +16,7 @@ from lsd_wfst.fixtures import (
     make_symbols,
 )
 from lsd_wfst.posteriors import classify_blank_frames
-from lsd_wfst.wfst import EPSILON, validate_epsilon_acyclic
+from lsd_wfst.wfst import EPSILON
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -25,7 +25,7 @@ def test_random_graphs_always_epsilon_valid(seed):
     w = make_random_wfst(rng, num_states=rng.randrange(1, 30),
                          num_arcs=rng.randrange(0, 80), num_labels=4,
                          eps_fraction=0.4, selfloops=rng.random() < 0.5)
-    assert validate_epsilon_acyclic(w) is None
+    assert w.epsilon_cycle() is None
     # The generator's invariant: epsilon arcs point from lower to higher ids.
     assert all(a.src < a.dst for a in w.arcs if a.ilabel == EPSILON)
     assert w.final_weights  # at least one final state guaranteed

@@ -1,5 +1,6 @@
 """Dispatcher, the per-worker candidate merge, and parallel/serial equivalence."""
 
+import functools
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from lsd_wfst.decoder import (
     decode_lsd,
 )
 from lsd_wfst.fixtures import make_random_posteriors, make_random_wfst
-from lsd_wfst.lattice import LatticeError, LatticeRecorder, build_lattice
+from lsd_wfst.lattice import LatticeRecorder, build_lattice
 from lsd_wfst.parallel import (
     ClaimLedger,
     Dispatcher,
@@ -31,9 +32,9 @@ from lsd_wfst.parallel import (
     parallel_decode,
 )
 from lsd_wfst.posteriors import PosteriorMatrix
-from lsd_wfst.wfst import Arc, Wfst, parse_wfst_text
+from lsd_wfst.wfst import Arc, Wfst, WfstError, parse_wfst_text
 
-from conftest import GRID, random_instance, tie_heavy_instances, uniform_posteriors
+from conftest import GRID, grid_instance, random_instance, tie_heavy_instances, uniform_posteriors
 from oracles import reference_prune
 
 INF = math.inf
@@ -439,15 +440,6 @@ class TestRecorderHookParity:
                 assert threaded.calls["epsilon"] == serial.calls["epsilon"]
 
 
-def _lattice_or_error(build):
-    """The built lattice, or the message of the LatticeError it raised (an
-    epsilon cycle among one step's nodes cannot be ordered)."""
-    try:
-        return build()
-    except LatticeError as exc:
-        return str(exc)
-
-
 def _fields(result):
     """Every DecodeResult field, the cost compared bit for bit."""
     return {"total_cost": result.total_cost.hex(), "olabels": result.olabels,
@@ -457,7 +449,8 @@ def _fields(result):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tie_heavy_instances(), st.sampled_from(["fsd", "lsd"]),
+@given(st.one_of(tie_heavy_instances(), st.integers(0, 2**32 - 1).map(grid_instance)),
+       st.sampled_from(["fsd", "lsd"]),
        st.sampled_from([INF, 0.5, 1.0]), st.sampled_from([None, 1, 2, 3]),
        st.integers(1, 3), st.sampled_from([1, 2, 32]))
 def test_serial_parallel_and_recorder_agree(instance, mode, beam, max_active, workers, group):
@@ -470,8 +463,24 @@ def test_serial_parallel_and_recorder_agree(instance, mode, beam, max_active, wo
     threaded_rec = LatticeRecorder()
     assert _fields(parallel_decode(wfst, posts, cfg, workers=workers, group_size=group,
                                    recorder=threaded_rec)) == serial
-    assert (_lattice_or_error(lambda: build_lattice(threaded_rec, wfst))
-            == _lattice_or_error(lambda: build_lattice(serial_rec, wfst)))
+    # Every graph decoding accepts builds a lattice, the same from both engines.
+    assert build_lattice(threaded_rec, wfst) == build_lattice(serial_rec, wfst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_instances(cyclic=True), st.sampled_from(["fsd", "lsd"]), st.integers(1, 3))
+def test_refused_epsilon_cycle_raises_before_any_step(instance, mode, workers):
+    """Both engines raise the same error on a graph with an epsilon cycle
+    that decoding refuses, before the recorder hears of any step."""
+    wfst, posts = instance
+    messages = []
+    for engine in (decode, functools.partial(parallel_decode, workers=workers)):
+        log = HookLog()
+        with pytest.raises(WfstError, match=r"^epsilon cycle through states \[") as exc:
+            engine(wfst, posts, DecodeConfig(mode=mode), recorder=log)
+        assert not any(log.calls.values())
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 class RoundRobinDispatcher(Dispatcher):

@@ -12,19 +12,16 @@ from lsd_wfst.fixtures import make_random_wfst
 from lsd_wfst.wfst import (
     EPSILON,
     Arc,
-    EpsilonCycle,
     ParseError,
     SymbolError,
     SymbolTable,
     Wfst,
     WfstError,
-    _find_epsilon_cycle,
     parse_wfst_text,
-    validate_epsilon_acyclic,
 )
 
 from conftest import uniform_posteriors
-from oracles import out_arcs
+from oracles import out_arcs, reference_epsilon_cycle
 
 
 class TestParse:
@@ -191,48 +188,56 @@ class TestOutArcs:
 class TestEpsilonValidation:
     def test_one_arc_ok(self):
         w = parse_wfst_text("0 1 1 1 0.5\n1 0.0")
-        assert validate_epsilon_acyclic(w) is None
+        assert w.epsilon_cycle() is None
 
     def test_mutual_zero_weight_cycle(self):
         w = parse_wfst_text("0 1 0 0 0.0\n1 0 0 0 0.0\n1 0.0")
-        cycle = validate_epsilon_acyclic(w)
-        assert cycle is not None
-        assert sorted(cycle.states) == [0, 1]
-        assert cycle.total_weight <= 0.0
+        assert sorted(w.epsilon_cycle()) == [0, 1]
 
     def test_positive_self_loop_accepted(self):
         w = parse_wfst_text("0 0 0 0 0.3\n0 1 1 1 0.5\n1 0.0")
-        assert validate_epsilon_acyclic(w) is None
+        assert w.epsilon_cycle() is None
 
     def test_negative_cycle_detected(self):
         text = "0 1 0 0 1.0\n1 0 0 0 -2.0\n1 0.0"
         w = parse_wfst_text(text, allow_negative_weights=True)
-        cycle = validate_epsilon_acyclic(w)
-        assert cycle is not None
-        assert cycle.total_weight < 0
+        assert sorted(w.epsilon_cycle()) == [0, 1]
 
     def test_mixed_sign_zero_total_cycle(self):
         text = "0 1 0 0 0.75\n1 0 0 0 -0.75\n1 0.0"
         w = parse_wfst_text(text, allow_negative_weights=True)
-        cycle = validate_epsilon_acyclic(w)
-        assert cycle is not None
-        assert abs(cycle.total_weight) <= 1e-9
+        assert sorted(w.epsilon_cycle()) == [0, 1]
 
-    def test_positive_multi_state_cycle_accepted(self):
+    def test_positive_multi_state_cycle_rejected(self):
+        """Every epsilon cycle through two or more states is refused, whatever
+        its weight, before the search takes a step."""
         w = parse_wfst_text("0 1 0 0 0.5\n1 0 0 0 0.5\n1 0.0")
-        assert validate_epsilon_acyclic(w) is None
-
-    def test_self_loop_within_the_tight_slack_is_a_cycle(self):
-        """A 1e-13 epsilon self-loop is within the 1e-12 tight-arc slack:
-        it is reported, and decoding refuses the graph."""
-        w = parse_wfst_text("0 0 0 0 1e-13\n0")
-        assert validate_epsilon_acyclic(w) == EpsilonCycle((0,), 1e-13)
-        with pytest.raises(WfstError, match="epsilon cycle"):
+        assert w.epsilon_cycle() == (0, 1)
+        with pytest.raises(WfstError, match=r"^epsilon cycle through states \[0, 1\]; "):
             decode(w, uniform_posteriors(1, 1), DecodeConfig(mode="fsd"))
-        assert validate_epsilon_acyclic(parse_wfst_text("0 0 0 0 1.1e-12\n0")) is None
+
+    def test_arc_to_a_lower_id_leaves_the_search_to_decide(self):
+        """An epsilon arc to a lower id fails the screen on each state's
+        lowest epsilon destination, and the search decides: 0 -> 2 -> 1 -> 0
+        is a cycle, and without 2 -> 1 there is none."""
+        w = parse_wfst_text("0 2 0 0 0.5\n1 0 0 0 0.5\n1 3 0 0 0.5\n2 1 0 0 0.5\n3")
+        assert w.epsilon_cycle() == (0, 2, 1)
+        assert parse_wfst_text("0 2 0 0 0.5\n1 0 0 0 0.5\n2 3 0 0 0.5\n3").epsilon_cycle() is None
+
+    def test_self_loop_is_a_cycle_iff_not_positive(self):
+        """An epsilon self-loop of weight <= 0 is refused; any positive one,
+        however small, is skipped by the search and accepted."""
+        w = parse_wfst_text("0 0 0 0 1e-13\n0")
+        assert w.epsilon_cycle() is None
+        decode(w, uniform_posteriors(1, 1), DecodeConfig(mode="fsd"))
+        for weight in ("0", "-0.0", "-1e-13"):
+            w = parse_wfst_text(f"0 1 1 1 0.5\n1 1 0 0 {weight}\n1", allow_negative_weights=True)
+            assert w.epsilon_cycle() == (1,)
+            with pytest.raises(WfstError, match=r"^epsilon cycle through states \[1\]; "):
+                decode(w, uniform_posteriors(1, 1), DecodeConfig(mode="fsd"))
 
 
-# Epsilon weight families: above the tight-arc slack, zero, within it, negative.
+# Epsilon weight families: positive, zero, tiny positive, negative.
 _WEIGHT_FAMILIES = {
     "positive": [2e-12, 0.5, 1.0, math.inf],
     "zero": [0.0],
@@ -255,13 +260,25 @@ def epsilon_graphs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(epsilon_graphs())
-def test_epsilon_check_equals_the_full_search(w):
-    """The check's shortcut (every epsilon arc above the tight-arc slack)
-    never changes its answer: it equals the full Bellman-Ford and tight-arc
-    search on the same arcs."""
-    eps = [il == EPSILON for il in w.arc_ilabel]
-    want = _find_epsilon_cycle(w, eps) if any(eps) else None
-    assert validate_epsilon_acyclic(w) == want
+def test_epsilon_cycle_equals_the_reference(w):
+    """The check finds a cycle exactly when the transitive-closure reference
+    puts some state on one, and what it returns is a cycle of epsilon arcs
+    through those states: distinct states, each with an epsilon arc to the
+    next, and a lone state only on a self-loop of weight <= 0."""
+    on_cycle = reference_epsilon_cycle(w)
+    cycle = w.epsilon_cycle()
+    if cycle is None:
+        assert not on_cycle
+        return
+    assert len(set(cycle)) == len(cycle) and set(cycle) <= on_cycle
+    lightest = {}
+    for a in w.arcs:
+        if a.ilabel == EPSILON:
+            lightest[a.src, a.dst] = min(a.weight, lightest.get((a.src, a.dst), math.inf))
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (u, v) in lightest
+    if len(cycle) == 1:
+        assert lightest[cycle * 2] <= 0.0
 
 
 class TestSymbolTable:
